@@ -32,6 +32,7 @@ from pathlib import Path
 from time import perf_counter
 from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple, Union
 
+from ..canonical import dumps_canonical as dumps_perf_artifact
 from ..obs.perf import WorkMeter
 from ..obs.profiler import EngineProfiler
 from ..sim import SIM_VERSION
@@ -145,13 +146,13 @@ def _kernel_store_pipeline(env) -> float:
     return env.now
 
 
-def _micro(kernel, scheduler: Optional[str] = None
+def _micro(kernel
            ) -> Callable[[WorkMeter, Optional[EngineProfiler]], float]:
     def run(meter: WorkMeter,
             profiler: Optional[EngineProfiler]) -> float:
         from ..sim import Environment
 
-        env = Environment(scheduler=scheduler)
+        env = Environment()
         env.work = meter
         env.profiler = profiler
         return kernel(env)
@@ -209,8 +210,6 @@ def _workloads() -> "Dict[str, Tuple[Tuple[str, ...], Callable]]":
     table["micro/engine-timeouts"] = (both, _micro(_kernel_engine_timeouts))
     table["micro/engine-sleep-pool"] = \
         (both, _micro(_kernel_engine_sleep_pool))
-    table["micro/engine-timeouts-calendar"] = \
-        (both, _micro(_kernel_engine_timeouts, scheduler="calendar"))
     table["micro/resource-handoff"] = \
         (both, _micro(_kernel_resource_handoff))
     table["micro/store-pipeline"] = (both, _micro(_kernel_store_pipeline))
@@ -316,7 +315,7 @@ def work_section_text(artifact: Mapping[str, Any]) -> str:
         "suite": artifact.get("suite"),
         "work": artifact.get("work", {}),
     }
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    return dumps_perf_artifact(payload)
 
 
 @dataclass
@@ -409,11 +408,6 @@ def check_perf_artifact(current: Mapping[str, Any],
         current_events_per_sec=float(
             cur_total.get("events_per_sec", 0.0)),
         min_ratio=min_ratio)
-
-
-def dumps_perf_artifact(payload: Mapping[str, Any]) -> str:
-    """Canonical serialization (sorted keys, indent 2, final newline)."""
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
 def write_perf_artifact(payload: Mapping[str, Any],

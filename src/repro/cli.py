@@ -179,11 +179,6 @@ def _build_parser() -> argparse.ArgumentParser:
                       help="events/sec floor as a fraction of the "
                            "baseline (default 0.33; wall-clock only — "
                            "work counters always compare exactly)")
-    perf.add_argument("--scheduler", default=None,
-                      choices=["heap", "calendar"],
-                      help="pending-event scheduler for every workload "
-                           "(default: REPRO_SIM_SCHEDULER or heap); the "
-                           "work section must be identical either way")
     perf.add_argument("--flame", metavar="PATH",
                       help="profile the suite and write collapsed "
                            "stacks (flamegraph.pl / speedscope input)")
@@ -661,19 +656,7 @@ def _run_perf_command(args) -> int:
     if args.flame:
         from .obs import EngineProfiler
         profiler = EngineProfiler()
-    # --scheduler flips the process default; workloads that pin their
-    # own scheduler (micro/engine-timeouts-calendar) are unaffected.
-    previous = os.environ.get("REPRO_SIM_SCHEDULER")
-    if args.scheduler:
-        os.environ["REPRO_SIM_SCHEDULER"] = args.scheduler
-    try:
-        runs = run_perf_suite(args.suite, profiler=profiler)
-    finally:
-        if args.scheduler:
-            if previous is None:
-                os.environ.pop("REPRO_SIM_SCHEDULER", None)
-            else:
-                os.environ["REPRO_SIM_SCHEDULER"] = previous
+    runs = run_perf_suite(args.suite, profiler=profiler)
     artifact = build_perf_artifact(runs, suite=args.suite)
     total = artifact["throughput"]["total"]
     print(f"engine perf suite '{args.suite}': {len(runs)} workloads, "

@@ -12,7 +12,11 @@ machine's hardware pipeline:
    fabric carry the message (concurrently — the adapter streams into
    the fabric), then the destination NIC's receive engine ejects it,
    and after the kernel's dispatch latency the message becomes
-   matchable at the destination.
+   matchable at the destination.  A contention- and fault-free message
+   is booked analytically (:meth:`Transport._wire_fast`); every other
+   one runs the attempt loop of :meth:`Transport._wire` — exactly one
+   attempt without a fault plan, ack/timeout/retransmit rounds with
+   one.
 4. **Match** — a posted receive matching ``(src, tag)`` completes;
    otherwise the message joins the unexpected queue and its receiver
    will later pay the unexpected-handling cost plus a copy out of the
@@ -148,13 +152,15 @@ class Transport:
         Eligibility is checked explicitly: no fault injector (a
         :class:`~repro.faults.FaultPlan` must see every hop simulated),
         the machine's ``fast_wire`` switch on, and tracing/metrics off
-        (observability wants the real spans and gauges).  Even then the
-        message only takes this path when the transmit engine, every
-        route link *at this instant*, and the receive engine can all be
-        timestamp-booked — any contention rolls the bookings back and
-        returns ``False``, and the caller runs the full wire pipeline.
+        (observability wants the real spans and gauges).  Even then
+        both NIC engines must be timestamp-bookable: a busy one rolls
+        the bookings back and returns ``False``, and the caller runs
+        the one attempt loop of :meth:`_wire` — the full path, kept as
+        the reference the differential harness compares this one
+        against.  With the engines booked, a route link busy *at this
+        instant* hands the fabric leg alone to :meth:`_wire_contended`.
 
-        When it succeeds, the wire end is the max of the three booked
+        When the route books too, the wire end is the max of the three booked
         leg ends — exactly when ``all_of`` over the three concurrent
         leg processes would have fired — and two plain events replace
         the four processes and their resource protocol: a *landing*
@@ -260,127 +266,115 @@ class Transport:
               op: str, fast: bool, span: Optional[Span] = None,
               phase_span: Optional[Span] = None
               ) -> Generator[Event, None, None]:
-        envelope = Envelope(src=src, dst=dst, tag=tag, nbytes=nbytes,
-                            sent_at=self.env.now, span=span)
-        injector = self.machine.injector
-        if injector is None:
-            yield from self._wire_once(src, dst, nbytes, op, fast, span)
-        else:
-            yield from self._wire_reliably(injector, src, dst, nbytes,
-                                           tag, op, fast, span)
-        yield self.env.sleep(
-            self.spec.software.deliver_us * self.machine.jitter(dst))
-        envelope.delivered_at = self.env.now
-        tracer = self.machine.tracer
-        if span is not None:
-            tracer.end(span, self.env.now)
-        if phase_span is not None:
-            # The phase lasts until its last member message lands.
-            tracer.extend(phase_span, self.env.now)
-        self._deliver(envelope)
+        """The full wire pipeline: one attempt loop for every message
+        :meth:`_wire_fast` did not take.
 
-    def _wire_once(self, src: int, dst: int, nbytes: int, op: str,
-                   fast: bool, span: Optional[Span]
-                   ) -> Generator[Event, None, None]:
-        src_node = self.machine.nodes[src]
-        dst_node = self.machine.nodes[dst]
+        Each attempt runs the three legs concurrently — transmit
+        engine, fabric transfer (the ``carry`` process), receive
+        engine — because they stream the same bytes cut-through: the
+        message is in the destination's buffer once the slowest leg
+        finishes.  Each engine is still a FIFO resource, so
+        back-to-back messages through one NIC or link serialize.
+
+        Without a fault injector there is exactly one attempt and it
+        always succeeds.  With one, every attempt draws a fate from the
+        plan's seeded stream first; a lost, corrupted, or aborted
+        attempt delivers nothing, and the sender learns of the failure
+        only when the attempt's retransmission timeout (exponential
+        backoff, bounded) expires, then retransmits — possibly over a
+        detour if a link died meanwhile.  After ``max_retries``
+        retransmissions the message fails with :class:`DeliveryError`.
+        """
+        env = self.env
+        envelope = Envelope(src=src, dst=dst, tag=tag, nbytes=nbytes,
+                            sent_at=env.now, span=span)
+        machine = self.machine
+        injector = machine.injector
+        src_nic = machine.nodes[src].nic
+        dst_nic = machine.nodes[dst].nic
         # The destination drains at DMA speed when its policy offloads
         # this collective's payloads (e.g. the Paragon coprocessor).
-        fast_rx = dst_node.payload_mode(self.spec.uses_dma_for(op),
-                                        nbytes) is not TransferMode.HOST
-        # Transmit engine, wormhole transfer, and receive engine all
-        # stream the same bytes cut-through: they overlap in time, and
-        # the message is in the destination's buffer once the slowest
-        # leg finishes.  Each engine is still a FIFO resource, so
-        # back-to-back messages through one NIC or link serialize.
-        legs = [
-            self.env.process(src_node.nic.transmit(nbytes, fast=fast)),
-            self.env.process(self.machine.fabric.transfer(
-                src, dst, nbytes, parent_span=span)),
-            self.env.process(dst_node.nic.receive(nbytes, fast=fast_rx)),
-        ]
-        yield self.env.all_of(legs)
-
-    def _wire_reliably(self, injector, src: int, dst: int, nbytes: int,
-                       tag: object, op: str, fast: bool,
-                       span: Optional[Span]
-                       ) -> Generator[Event, None, None]:
-        """Ack/timeout/retransmit protocol around the wire legs.
-
-        Each attempt pays the full wire pipeline, then draws a fate
-        from the plan's seeded stream.  A lost, corrupted, or aborted
-        attempt delivers nothing: the sender learns of the failure only
-        when the attempt's retransmission timeout (exponential backoff,
-        bounded) expires, then retransmits — possibly over a detour if
-        a link died meanwhile.  After ``max_retries`` retransmissions
-        the message fails with :class:`DeliveryError`.
-        """
-        retry = injector.plan.retry
-        src_node = self.machine.nodes[src]
-        dst_node = self.machine.nodes[dst]
-        fast_rx = dst_node.payload_mode(self.spec.uses_dma_for(op),
-                                        nbytes) is not TransferMode.HOST
-        attempts = retry.max_retries + 1
+        fast_rx = machine.nodes[dst].payload_mode(
+            self.spec.uses_dma_for(op), nbytes) is not TransferMode.HOST
+        attempts = 1 if injector is None else \
+            injector.plan.retry.max_retries + 1
         for attempt in range(attempts):
-            started = self.env.now
-            fate = injector.message_fate(src, dst)
+            started = env.now
+            fate = "ok" if injector is None else \
+                injector.message_fate(src, dst)
             aborted: List[TransferAborted] = []
-
-            def carry() -> Generator[Event, None, None]:
-                try:
-                    yield from self.machine.fabric.transfer(
-                        src, dst, nbytes, parent_span=span)
-                except TransferAborted as failure:
-                    aborted.append(failure)
-
             legs = [
-                self.env.process(src_node.nic.transmit(nbytes, fast=fast)),
-                self.env.process(carry(), name=f"carry-{src}-{dst}"),
-                self.env.process(dst_node.nic.receive(nbytes,
-                                                      fast=fast_rx)),
+                env.process(src_nic.transmit(nbytes, fast=fast)),
+                env.process(self._carry(src, dst, nbytes, span, aborted),
+                            name=f"carry-{src}-{dst}"),
+                env.process(dst_nic.receive(nbytes, fast=fast_rx)),
             ]
-            yield self.env.all_of(legs)
-            wire_us = self.env.now - started
-            rto = retry.timeout_for_attempt(attempt)
+            yield env.all_of(legs)
             if not aborted and fate == "ok":
-                # Delivered.  If wire + ack return exceeded the RTO the
-                # real protocol would have retransmitted needlessly;
-                # count it, but don't re-run the delivery.
-                ack_us = self.machine.fabric.transfer_time(
-                    dst, src, retry.ack_bytes)
-                if wire_us + ack_us > rto:
-                    injector.record_spurious_retransmit()
-                return
+                if injector is not None:
+                    # Delivered.  If wire + ack return exceeded the RTO
+                    # the real protocol would have retransmitted
+                    # needlessly; count it, but don't re-run delivery.
+                    retry = injector.plan.retry
+                    ack_us = machine.fabric.transfer_time(
+                        dst, src, retry.ack_bytes)
+                    if env.now - started + ack_us > \
+                            retry.timeout_for_attempt(attempt):
+                        injector.record_spurious_retransmit()
+                break
+            wire_us = env.now - started
+            rto = injector.plan.retry.timeout_for_attempt(attempt)
             # Failed attempt: the fate is only known now, so the
             # recovery span is opened retroactively over the wasted
             # wire time (the tracer accepts past start times).
-            tracer = self.machine.tracer
+            tracer = machine.tracer
             if tracer.enabled:
                 reason = "aborted" if aborted else fate
                 doomed = tracer.begin(started, f"retransmit {src}->{dst}",
                                       "retransmit", node=src, parent=span,
                                       dst=dst, attempt=attempt,
                                       reason=reason)
-                tracer.end(doomed, self.env.now)
+                tracer.end(doomed, env.now)
             # No ack will come, so the sender sits out the rest of the
             # RTO before trying again.
             if rto > wire_us:
                 if tracer.enabled:
-                    sitout = tracer.begin(self.env.now,
-                                          f"backoff {src}->{dst}",
+                    sitout = tracer.begin(env.now, f"backoff {src}->{dst}",
                                           "backoff", node=src, parent=span,
                                           dst=dst, attempt=attempt,
                                           rto_us=rto)
-                    yield self.env.sleep(rto - wire_us)
-                    tracer.end(sitout, self.env.now)
+                    yield env.sleep(rto - wire_us)
+                    tracer.end(sitout, env.now)
                 else:
-                    yield self.env.sleep(rto - wire_us)
+                    yield env.sleep(rto - wire_us)
             if attempt + 1 < attempts:
                 injector.record_retransmit()
-                work = self.env.work
+                work = env.work
                 if work is not None:
                     work.retransmissions += 1
-        raise DeliveryError(src, dst, tag, attempts)
+        else:
+            raise DeliveryError(src, dst, tag, attempts)
+        yield env.sleep(
+            self.spec.software.deliver_us * machine.jitter(dst))
+        envelope.delivered_at = env.now
+        tracer = machine.tracer
+        if span is not None:
+            tracer.end(span, env.now)
+        if phase_span is not None:
+            # The phase lasts until its last member message lands.
+            tracer.extend(phase_span, env.now)
+        self._deliver(envelope)
+
+    def _carry(self, src: int, dst: int, nbytes: int,
+               span: Optional[Span], aborted: List[TransferAborted]
+               ) -> Generator[Event, None, None]:
+        """The fabric leg of one attempt; an abort (only a fault plan
+        can cause one) is recorded for the attempt loop, not raised."""
+        try:
+            yield from self.machine.fabric.transfer(src, dst, nbytes,
+                                                    parent_span=span)
+        except TransferAborted as failure:
+            aborted.append(failure)
 
     def _deliver(self, envelope: Envelope) -> None:
         profiler = self.env.profiler

@@ -256,38 +256,6 @@ class NetworkFabric:
                 work.transfers_completed += 1
             return
         ordered = sorted(route, key=self._order.__getitem__)
-        if self.injector is None and not self.tracer.enabled and \
-                not self.metrics.enabled:
-            # Batched booking: with every link on the route idle right
-            # now (the common case) the whole multi-hop occupancy is
-            # one synchronous booking plus ONE completion event,
-            # instead of per-hop request/grant/release churn.  Any
-            # busy link falls through to the per-hop protocol below,
-            # which is where waiting and stall accounting live.  No
-            # injector means no Interrupt can arrive mid-hold, so the
-            # bookings never need to be torn down early.
-            now = self.env._now
-            bookings: RouteBooking = []
-            for link_id in ordered:
-                link = self._links[link_id]
-                booking = link.resource.try_occupy(hold)
-                if booking is None or booking[0] != now:
-                    if booking is not None:
-                        link.resource.undo_occupy(booking[1])
-                    self.undo_route(bookings)
-                    bookings = None  # type: ignore[assignment]
-                    break
-                bookings.append((link, booking[1]))
-            if bookings is not None:
-                if work is not None:
-                    work.link_acquisitions += len(bookings)
-                    work.resource_occupancies += len(bookings)
-                yield self.env.sleep(hold)
-                for link, _ in bookings:
-                    link.record(nbytes, busy_us=hold)
-                if work is not None:
-                    work.transfers_completed += 1
-                return
         requests: List[Tuple[LinkId, Event]] = []
         occupancy: List[Span] = []
         queued_at = self.env.now

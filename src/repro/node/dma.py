@@ -104,9 +104,3 @@ class DmaEngine:
             self.params.setup_us + nbytes * self.params.us_per_byte)
         self.bytes_streamed += nbytes
         self._engine.release(request)
-
-
-def engine_for(env: Environment,
-               params: Optional[DmaParameters]) -> Optional[DmaEngine]:
-    """Build an engine if the machine has one."""
-    return None if params is None else DmaEngine(env, params)

@@ -132,17 +132,15 @@ class Nic:
         if nbytes < 0:
             raise ValueError(f"negative message size {nbytes}")
         env = self.env
-        if self.injector is None and not self.metrics.enabled:
-            # Engine idle or contiguously booked: one booking + one
-            # completion event instead of request/grant/release churn.
-            duration = self.occupancy_us(nbytes, fast)
-            booking = engine.try_occupy(duration)
-            if booking is not None:
-                work = env.work
-                if work is not None:
-                    work.resource_occupancies += 1
-                yield env.sleep_until(booking[0] + duration)
-                return
+        # Engine idle or contiguously booked: one booking + one
+        # completion event instead of request/grant/release churn.
+        booked = self._try_book(engine, nbytes, fast)
+        if booked is not None:
+            work = env.work
+            if work is not None:
+                work.resource_occupancies += 1
+            yield env.sleep_until(booked[0])
+            return
         request = engine.request()
         metrics = self.metrics
         if metrics.enabled:

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple, Union
 
+from ..canonical import dumps_canonical as dumps_replay_frames
 from ..sim import Tracer
 from .metrics import MetricsRegistry
 from .perf import WorkMeter
@@ -243,11 +244,6 @@ def capture_collective(machine: str, op: str, nbytes: int = 1024,
         world=world, tracer=world.tracer, metrics=world.machine.metrics,
         profiler=profiler, work=meter, seed=seed,
         faults_name=getattr(faults, "name", None))
-
-
-def dumps_replay_frames(document: Dict[str, Any]) -> str:
-    """Canonical serialization (sorted keys, indent 2, final newline)."""
-    return json.dumps(document, indent=2, sort_keys=True) + "\n"
 
 
 def write_replay_frames(document: Dict[str, Any],

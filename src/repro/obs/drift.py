@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Mapping, Optional, Tuple, Union
 
+from ..canonical import dumps_canonical as dumps_drift_artifact
 from ..core.paper_model import PAPER_TABLE3
 
 __all__ = [
@@ -261,11 +262,6 @@ def build_drift_artifact(report: DriftReport,
         "skipped": [{"cell": key, "reason": reason}
                     for key, reason in report.skipped],
     }
-
-
-def dumps_drift_artifact(payload: Mapping[str, Any]) -> str:
-    """Canonical serialization (sorted keys, indent 2, final newline)."""
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
 def write_drift_artifact(payload: Mapping[str, Any],

@@ -35,6 +35,7 @@ from pathlib import Path
 from typing import (Any, Dict, Iterable, List, Mapping, Optional,
                     Sequence, Tuple, Union)
 
+from ..canonical import dumps_canonical as dumps_ledger
 from ..runner.artifact import scrub_volatile
 
 __all__ = [
@@ -378,11 +379,6 @@ def validate_ledger(payload: Mapping[str, Any]) -> None:
     if payload.get("bundle_digest") != expected:
         raise ValueError("bundle_digest does not match the indexed "
                          "entries")
-
-
-def dumps_ledger(payload: Mapping[str, Any]) -> str:
-    """Canonical serialization (sorted keys, indent 2, final newline)."""
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
 def write_ledger(payload: Mapping[str, Any], path: PathLike) -> Path:

@@ -126,31 +126,7 @@ class EngineProfiler:
             folded[0] += 1
             folded[1] += self_s
 
-    def callback_timed(self, callback: Callable, seconds: float) -> None:
-        """Record an externally timed callback (legacy hook; frames
-        recorded this way have no children, so self == cumulative)."""
-        site = self._site_of(callback)
-        stats = self.sites.get(site)
-        if stats is None:
-            self.sites[site] = [1, seconds, seconds]
-        else:
-            stats[0] += 1
-            stats[1] += seconds
-            stats[2] += seconds
-        folded = self._folded.get((site,))
-        if folded is None:
-            self._folded[(site,)] = [1, seconds]
-        else:
-            folded[0] += 1
-            folded[1] += seconds
-
     # -- reporting ----------------------------------------------------------
-    @property
-    def callback_stats(self) -> Dict[str, List[float]]:
-        """Site -> ``[invocations, cumulative seconds]`` (legacy view)."""
-        return {site: [int(calls), cum_s]
-                for site, (calls, cum_s, _self_s) in self.sites.items()}
-
     @property
     def total_scheduled(self) -> int:
         return sum(self.events_scheduled.values())

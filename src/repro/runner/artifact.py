@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple, Union
 
+from ..canonical import dumps_canonical as dumps_artifact
 from ..bench.compare import values_match
 from ..sim import SIM_VERSION
 from .fingerprint import to_jsonable
@@ -103,12 +104,6 @@ def build_artifact(result: SweepResult, grid_name: str,
             quarantined.append(entry)
         payload["quarantined"] = quarantined
     return payload
-
-
-def dumps_artifact(payload: Dict[str, object]) -> str:
-    """Canonical serialization: sorted keys, fixed indent, one final
-    newline — the byte-stable form everything compares against."""
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
 def write_artifact(payload: Dict[str, object], path: PathLike) -> Path:

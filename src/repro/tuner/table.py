@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
+from ..canonical import dumps_canonical as dumps_tuning
 from ..sim import SIM_VERSION
 
 __all__ = ["TUNING_SCHEMA", "DecisionRule", "DecisionEntry",
@@ -182,12 +183,6 @@ def build_tuning_artifact(table: DecisionTable,
         # empty bookkeeping keys.
         payload["quarantined"] = quarantined
     return payload
-
-
-def dumps_tuning(payload: Dict[str, object]) -> str:
-    """Canonical serialization: sorted keys, fixed indent, one final
-    newline — the byte-stable form CI compares with ``cmp``."""
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
 def write_tuning(payload: Dict[str, object], path: PathLike) -> Path:

@@ -2,7 +2,9 @@
 
 import pytest
 
+from repro.faults import FaultPlan, RetryConfig
 from repro.mpi import MpiWorld, RankError
+from repro.obs.perf import WorkMeter
 
 
 def world(machine="t3d", nodes=4, **kwargs):
@@ -206,3 +208,44 @@ def test_pending_introspection():
     w.run(program)
     assert transport.pending_posted(1) == 1
     assert transport.pending_unexpected(1) == 0
+
+
+def _count_carries(w):
+    """Wrap the transport's fabric leg; return the per-attempt count."""
+    transport = w.comm.transport
+    carried = []
+    carry = transport._carry
+
+    def counting_carry(*args):
+        carried.append(args[:2])
+        return carry(*args)
+
+    transport._carry = counting_carry
+    return transport, carried
+
+
+def test_full_path_makes_one_attempt_per_message_without_faults():
+    w = world("sp2", 8, fast_wire=False)
+    transport, carried = _count_carries(w)
+    meter = WorkMeter()
+    w.env.work = meter
+    w.run_collective("allreduce", 4096)
+    assert w.machine.injector is None
+    assert transport.messages_delivered > 0
+    assert len(carried) == transport.messages_delivered
+    assert meter.retransmissions == 0
+
+
+def test_lossy_attempt_loop_retries_until_delivered():
+    plan = FaultPlan(name="lossy", loss_probability=0.3,
+                     retry=RetryConfig(timeout_us=500.0, max_retries=20))
+    w = world("sp2", 8, faults=plan)
+    transport, carried = _count_carries(w)
+    meter = WorkMeter()
+    w.env.work = meter
+    w.run_collective("allreduce", 4096)
+    retransmits = w.machine.injector.retransmits
+    assert retransmits > 0
+    assert meter.retransmissions == retransmits
+    # Every retransmission is one more trip through the attempt loop.
+    assert len(carried) == transport.messages_delivered + retransmits

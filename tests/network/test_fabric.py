@@ -10,6 +10,7 @@ from repro.network import (
     Torus3D,
     bandwidth_to_us_per_byte,
 )
+from repro.obs.perf import WorkMeter
 from repro.sim import Environment, Tracer
 
 PARAMS = LinkParameters(hop_latency_us=0.1, bandwidth_mbs=100.0)
@@ -162,3 +163,22 @@ def test_transfer_time_zero_bytes():
     env = Environment()
     fabric = NetworkFabric(env, Mesh2D(2, 2), PARAMS)
     assert fabric.transfer_time(0, 1, 0) == pytest.approx(0.1)
+
+
+def test_idle_route_is_acquired_link_by_link():
+    # A transfer through the process path takes every link of its route
+    # through the per-hop request protocol, even when all are idle;
+    # whole-route booking belongs to try_book_route alone.
+    env = Environment()
+    env.work = WorkMeter()
+    fabric = NetworkFabric(env, Mesh2D(4, 1), PARAMS)
+    done = run_transfer(fabric, env, 0, 3, 1048)
+    env.run()
+    assert done["elapsed"] == pytest.approx(
+        3 * 0.1 + 1048 * PARAMS.us_per_byte)
+    work = env.work
+    assert work.link_acquisitions == 3
+    assert work.resource_occupancies == 0
+    assert work.transfers_completed == 1
+    assert work.transfers_stalled == 0
+    assert sorted(fabric.utilisation().values()) == [1048] * 3

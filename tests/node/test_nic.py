@@ -3,6 +3,7 @@
 import pytest
 
 from repro.node import Nic
+from repro.obs.perf import WorkMeter
 from repro.sim import Environment
 
 
@@ -94,3 +95,28 @@ def test_invalid_parameters_rejected():
     nic = Nic(env, per_message_us=0.0, bandwidth_mbs=10.0)
     with pytest.raises(ValueError):
         list(nic.transmit(-1))
+
+
+def test_transmit_books_like_try_book_transmit():
+    # The process path books an idle (or contiguously busy) engine the
+    # same way the synchronous fast path does: same end times, one
+    # occupancy per message, no request/grant protocol.
+    size = 10486
+    booked_env = Environment()
+    booked = Nic(booked_env, per_message_us=1.0, bandwidth_mbs=100.0)
+    ends = []
+    for _ in range(2):
+        end, _engine, _previous = booked.try_book_transmit(size)
+        booked.commit_transmit()
+        ends.append(end)
+
+    env = Environment()
+    env.work = WorkMeter()
+    nic = Nic(env, per_message_us=1.0, bandwidth_mbs=100.0)
+    result = {}
+    run_leg(env, nic.transmit(size), result, "first")
+    run_leg(env, nic.transmit(size), result, "second")
+    env.run()
+    assert [result["first"], result["second"]] == ends
+    assert env.work.resource_occupancies == 2
+    assert nic.messages_sent == booked.messages_sent == 2

@@ -28,8 +28,8 @@ def test_profiler_counts_events_and_times_callbacks():
     assert profiler.events_scheduled.get("Timeout") == 10
     assert profiler.events_fired.get("Timeout") == 10
     assert profiler.total_scheduled == profiler.total_fired
-    assert "rank" in profiler.callback_stats
-    count, seconds = profiler.callback_stats["rank"]
+    assert "rank" in profiler.sites
+    count, seconds, _self_s = profiler.sites["rank"]
     assert count >= 10
     assert seconds >= 0
 
@@ -164,7 +164,12 @@ def test_profiler_rankings_tie_broken_by_name():
         ["alpha", "mid"]
 
 
-def test_profiler_callback_timed_legacy_hook():
+def test_profiler_callback_frame_site_from_owner_name(monkeypatch):
+    import repro.obs.profiler as profiler_module
+
+    clock = iter([1.0, 1.25])
+    monkeypatch.setattr(profiler_module, "perf_counter",
+                        lambda: next(clock))
     profiler = EngineProfiler()
 
     class Owner:
@@ -176,11 +181,12 @@ def test_profiler_callback_timed_legacy_hook():
         def __call__(self, event):  # pragma: no cover - never invoked
             pass
 
-    profiler.callback_timed(Bound(), 0.25)
-    count, seconds = profiler.callback_stats["rank"]
+    profiler.enter_callback(Bound())
+    profiler.leave()
+    count, seconds, self_s = profiler.sites["rank"]
     assert count == 1
     assert seconds == 0.25
-    assert profiler.sites["rank"][2] == 0.25  # self == cumulative
+    assert self_s == 0.25  # no children: self == cumulative
     assert profiler.folded_lines() == ["rank 250000"]
 
 

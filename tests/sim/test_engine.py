@@ -12,6 +12,7 @@ from repro.sim import (
     StopProcess,
     Timeout,
 )
+from repro.sim.engine import NORMAL, URGENT
 
 
 def test_time_starts_at_zero():
@@ -91,6 +92,102 @@ def test_same_time_events_fire_in_creation_order():
         env.process(worker(name))
     env.run()
     assert order == ["first", "second", "third"]
+
+
+def _fire_order(env, specs):
+    """Schedule one timeout per ``(delay, priority)`` spec, in list
+    order, and return the spec indices in the order they fire."""
+    fired = []
+    for index, (delay, priority) in enumerate(specs):
+        timeout = Timeout(env, delay, value=index, priority=priority)
+        timeout.callbacks.append(lambda event: fired.append(event.value))
+    env.run()
+    return fired
+
+
+def test_pops_in_time_priority_eid_order():
+    specs = [(5.0, NORMAL), (5.0, URGENT), (1.0, NORMAL), (5.0, NORMAL),
+             (0.5, NORMAL)]
+    order = _fire_order(Environment(), specs)
+    # eid is the scheduling order, i.e. the list index.
+    assert order == sorted(range(len(specs)),
+                           key=lambda i: (specs[i][0], specs[i][1], i))
+    assert order == [4, 2, 1, 0, 3]
+
+
+def test_exact_ties_pop_by_eid():
+    order = _fire_order(Environment(), [(2.0, NORMAL)] * 5)
+    assert order == [0, 1, 2, 3, 4]
+
+
+def test_zero_and_identical_times_pop_by_eid():
+    order = _fire_order(Environment(), [(0.0, NORMAL)] * 40)
+    assert order == list(range(40))
+
+
+def test_same_instant_collisions_stay_ordered():
+    times = [3.7, 0.1, 9.9, 5.5, 5.5, 2.2]
+    order = _fire_order(Environment(), [(t, NORMAL) for t in times])
+    assert order == sorted(range(len(times)),
+                           key=lambda i: (times[i], i))
+
+
+def test_far_future_event_then_near_events():
+    env = Environment()
+    fired = []
+
+    def record(event):
+        fired.append((env.now, event.value))
+
+    Timeout(env, 1e9, value=1).callbacks.append(record)
+    env.run()
+    assert fired == [(1e9, 1)]
+    # Events scheduled relative to a far-future clock keep their order.
+    Timeout(env, 1e9, value=3).callbacks.append(record)
+    Timeout(env, 0.25, value=2).callbacks.append(record)
+    env.run()
+    assert fired == [(1e9, 1), (1e9 + 0.25, 2), (2e9, 3)]
+
+
+def test_peek_time_matches_next_pop():
+    env = Environment()
+    assert env.peek() == float("inf")
+    for delay in (4.0, 1.5, 8.0, 1.5):
+        env.timeout(delay)
+    while env.peek() != float("inf"):
+        expected = env.peek()
+        env.step()
+        assert env.now == expected
+    assert env.now == 8.0
+
+
+def test_interleaved_schedule_and_step_keeps_order():
+    # Push a deep queue, drain most of it, push more behind and in
+    # front of what is left: every pop still follows (time, eid).
+    env = Environment()
+    fired = []
+    for index in range(64):
+        Timeout(env, float(index), value=index).callbacks.append(
+            lambda event: fired.append(event.value))
+    for _ in range(60):
+        env.step()
+    assert fired == list(range(60))
+    for value, delay in ((100, 0.5), (101, 10.0), (102, 0.5)):
+        Timeout(env, delay, value=value).callbacks.append(
+            lambda event: fired.append(event.value))
+    env.run()
+    assert fired[60:] == [100, 102, 60, 61, 62, 63, 101]
+
+
+def test_schedule_after_queue_drains():
+    env = Environment()
+    env.timeout(5.0)
+    env.run()
+    assert env.peek() == float("inf")
+    env.timeout(1.0)
+    assert env.peek() == 6.0
+    env.step()
+    assert env.now == 6.0
 
 
 def test_process_waits_on_process():

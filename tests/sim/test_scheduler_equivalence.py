@@ -1,16 +1,18 @@
-"""Differential equivalence of the pluggable event schedulers.
+"""Differential equivalence harness for the engine and the wire paths.
 
-The engine speed overhaul made the pending-event queue pluggable (heap
-vs calendar queue) and added an analytic short-circuit for contention-
-and fault-free transfers.  Neither may ever be *observable*: this
-harness runs randomized process/resource/transfer graphs (hypothesis)
-and real MPI workloads under every configuration and asserts
+The engine keeps one heap ordered by ``(time, priority, eid)`` and the
+transport carries contention-free messages analytically (``_wire_fast``)
+instead of through the full attempt loop.  Neither shortcut may ever be
+*observable*: this harness runs randomized process/resource/transfer
+graphs (hypothesis) and real MPI workloads and asserts
 
-* heap and calendar produce **byte-identical event logs** — the exact
-  ``(time, priority, eid, event-type)`` pop sequence — and identical
-  :class:`~repro.obs.perf.WorkMeter` snapshots;
+* the same graph pops a **byte-identical event log** — the exact
+  ``(time, priority, eid, event-type)`` sequence — and identical
+  :class:`~repro.obs.perf.WorkMeter` snapshots on every run, in
+  non-decreasing time order;
 * short-circuited (``fast_wire=True``) runs match full-simulation
-  times to 1e-12 s (1e-6 of this repo's microsecond unit).
+  times to 1e-12 s (1e-6 of this repo's microsecond unit) and carry the
+  same traffic: equal bytes per link and message counts per NIC.
 """
 
 import json
@@ -25,13 +27,6 @@ from hypothesis import strategies as st
 from repro.mpi import MpiWorld
 from repro.obs.perf import WorkMeter
 from repro.sim import Environment, Resource, Store
-from repro.sim.scheduler import (
-    SCHEDULERS,
-    CalendarQueueScheduler,
-    EventScheduler,
-    HeapScheduler,
-    make_scheduler,
-)
 
 REPO_SRC = str(Path(__file__).resolve().parents[2] / "src")
 
@@ -39,56 +34,40 @@ REPO_SRC = str(Path(__file__).resolve().parents[2] / "src")
 TIME_TOLERANCE_US = 1e-6
 
 
-class LoggingScheduler(EventScheduler):
-    """Wrap a scheduler, recording every popped entry.
+def run_logged(program_factory):
+    """Run ``program_factory(env)`` to completion, recording every
+    popped queue entry; return (event log, work snapshot, final time).
 
-    The log is the complete observable behaviour of a queue: if two
-    implementations pop the same ``(time, priority, eid, type)``
-    sequence for the same workload, the simulation cannot tell them
-    apart.
+    The log is the complete observable behaviour of the queue: two runs
+    that pop the same ``(time, priority, eid, type)`` sequence cannot
+    be told apart by the simulation.
     """
+    env = Environment()
+    env.work = WorkMeter()
+    log = []
+    pop = env._pop
 
-    __slots__ = ("inner", "log", "name")
-
-    def __init__(self, inner: EventScheduler):
-        self.inner = inner
-        self.name = inner.name
-        self.log = []
-
-    def push(self, entry) -> None:
-        self.inner.push(entry)
-
-    def pop(self):
-        entry = self.inner.pop()
-        self.log.append((entry[0], entry[1], entry[2],
-                         type(entry[3]).__name__))
+    def logging_pop():
+        entry = pop()
+        log.append((entry[0], entry[1], entry[2],
+                    type(entry[3]).__name__))
         return entry
 
-    def peek_time(self) -> float:
-        return self.inner.peek_time()
-
-    def __len__(self) -> int:
-        return len(self.inner)
-
-
-def run_logged(scheduler_name, program_factory):
-    """Run ``program_factory(env)`` to completion under a logging
-    scheduler; return (event log, work snapshot, final time)."""
-    queue = LoggingScheduler(SCHEDULERS[scheduler_name]())
-    env = Environment(scheduler=queue)
-    env.work = WorkMeter()
+    env._pop = logging_pop
     program_factory(env)
     env.run()
-    return queue.log, env.work.snapshot(), env.now
+    return log, env.work.snapshot(), env.now
 
 
 def assert_equivalent(program_factory):
-    heap_log, heap_work, heap_now = run_logged("heap", program_factory)
-    cal_log, cal_work, cal_now = run_logged("calendar", program_factory)
-    assert heap_log == cal_log
-    assert heap_work == cal_work
-    assert heap_now == cal_now
-    assert heap_log, "workload fired no events at all"
+    first_log, first_work, first_now = run_logged(program_factory)
+    second_log, second_work, second_now = run_logged(program_factory)
+    assert first_log == second_log
+    assert first_work == second_work
+    assert first_now == second_now
+    assert first_log, "workload fired no events at all"
+    times = [entry[0] for entry in first_log]
+    assert times == sorted(times)
 
 
 # -- randomized process/resource/transfer graphs --------------------------
@@ -170,14 +149,24 @@ def test_random_graphs_pop_identical_event_logs(spec):
                 max_size=64))
 @settings(max_examples=60, deadline=None)
 def test_random_timeout_batches_pop_in_identical_order(delays):
-    """Wide spreads and exact ties — the calendar's hard cases (laps,
-    resizes, shared buckets) must not leak into the pop order."""
+    """Wide spreads and exact ties pop by time, then creation order."""
+    fired = []
+
     def factory(env):
+        fired.clear()
+
         def proc():
-            yield env.all_of([env.timeout(d) for d in delays])
+            timeouts = [env.timeout(delay, value=index)
+                        for index, delay in enumerate(delays)]
+            for timeout in timeouts:
+                timeout.callbacks.append(
+                    lambda event: fired.append(event.value))
+            yield env.all_of(timeouts)
         env.process(proc())
 
     assert_equivalent(factory)
+    assert fired == sorted(range(len(delays)),
+                           key=lambda index: (delays[index], index))
 
 
 # -- real MPI workloads ----------------------------------------------------
@@ -201,32 +190,44 @@ def mpi_workloads(draw):
     return machine, op, nbytes, p
 
 
-def run_collective(machine, op, nbytes, p, scheduler=None,
-                   fast_wire=True):
-    world = MpiWorld(machine, p, seed=0, scheduler=scheduler,
-                     fast_wire=fast_wire)
+def run_collective(machine, op, nbytes, p, fast_wire=True):
+    """Run one collective; return (elapsed, work snapshot, traffic).
+
+    ``traffic`` is what the wire paths put on the hardware: bytes per
+    link and ``(messages_sent, messages_received)`` per NIC."""
+    world = MpiWorld(machine, p, seed=0, fast_wire=fast_wire)
     meter = WorkMeter()
     world.env.work = meter
     elapsed = world.run_collective(op, nbytes)
-    return elapsed, meter.snapshot()
+    traffic = {
+        "links": world.machine.fabric.utilisation(),
+        "nics": [(node.nic.messages_sent, node.nic.messages_received)
+                 for node in world.machine.nodes],
+    }
+    return elapsed, meter.snapshot(), traffic
 
 
 @given(mpi_workloads())
 @settings(max_examples=25, deadline=None)
-def test_random_collectives_identical_under_both_schedulers(workload):
-    heap_time, heap_work = run_collective(*workload, scheduler="heap")
-    cal_time, cal_work = run_collective(*workload, scheduler="calendar")
-    assert heap_time == cal_time
-    assert heap_work == cal_work
+def test_random_collectives_identical_across_runs(workload):
+    assert run_collective(*workload) == run_collective(*workload)
 
 
-def test_fixed_collectives_identical_under_both_schedulers():
+def test_fixed_collectives_identical_across_runs():
     for workload in MPI_CASES:
-        heap_time, heap_work = run_collective(*workload, scheduler="heap")
-        cal_time, cal_work = run_collective(*workload,
-                                            scheduler="calendar")
-        assert heap_time == cal_time, workload
-        assert heap_work == cal_work, workload
+        first = run_collective(*workload)
+        assert first == run_collective(*workload), workload
+        assert first[1]["events_fired"] > 0, workload
+
+
+def test_full_path_identical_across_runs():
+    # The attempt loop is the reference the fast path is checked
+    # against: it must be deterministic on its own.
+    for workload in MPI_CASES[:2]:
+        first = run_collective(*workload, fast_wire=False)
+        assert first == run_collective(*workload, fast_wire=False), \
+            workload
+        assert first[1]["transfers_shortcircuited"] == 0, workload
 
 
 # -- analytic short-circuit vs full simulation -----------------------------
@@ -234,82 +235,41 @@ def test_fixed_collectives_identical_under_both_schedulers():
 @given(mpi_workloads())
 @settings(max_examples=25, deadline=None)
 def test_short_circuit_matches_full_simulation(workload):
-    fast_time, fast_work = run_collective(*workload, fast_wire=True)
-    slow_time, slow_work = run_collective(*workload, fast_wire=False)
+    fast_time, fast_work, fast_traffic = run_collective(*workload,
+                                                        fast_wire=True)
+    slow_time, slow_work, slow_traffic = run_collective(*workload,
+                                                        fast_wire=False)
     assert abs(fast_time - slow_time) <= TIME_TOLERANCE_US, workload
     # The fast path may never simulate *less* traffic than it books.
     assert fast_work["messages_sent"] == slow_work["messages_sent"]
     assert fast_work["messages_delivered"] == \
         slow_work["messages_delivered"]
+    assert fast_traffic == slow_traffic, workload
     assert slow_work["transfers_shortcircuited"] == 0
 
 
 def test_short_circuit_exact_on_fixed_cases():
     for workload in MPI_CASES:
-        fast_time, fast_work = run_collective(*workload, fast_wire=True)
-        slow_time, _slow_work = run_collective(*workload, fast_wire=False)
+        fast_time, fast_work, fast_traffic = run_collective(
+            *workload, fast_wire=True)
+        slow_time, _slow_work, slow_traffic = run_collective(
+            *workload, fast_wire=False)
         assert abs(fast_time - slow_time) <= TIME_TOLERANCE_US, workload
+        assert fast_traffic == slow_traffic, workload
+        assert fast_traffic["links"], f"{workload} carried no bytes"
         assert fast_work["transfers_shortcircuited"] > 0, \
             f"{workload} never took the analytic path"
 
 
-def test_short_circuit_composes_with_calendar_scheduler():
-    for workload in MPI_CASES[:2]:
-        times = {
-            (sched, fast): run_collective(*workload, scheduler=sched,
-                                          fast_wire=fast)[0]
-            for sched in ("heap", "calendar")
-            for fast in (True, False)
-        }
-        reference = times[("heap", True)]
-        for key, value in times.items():
-            assert abs(value - reference) <= TIME_TOLERANCE_US, \
-                (workload, key)
-
-
-# -- scheduler plumbing ----------------------------------------------------
-
-def test_environment_reports_scheduler_name():
-    assert Environment().scheduler_name == "heap"
-    assert Environment(scheduler="calendar").scheduler_name == "calendar"
-
-
-def test_make_scheduler_rejects_unknown_and_nonempty():
-    import pytest
-
-    with pytest.raises(ValueError):
-        make_scheduler("fifo")
-    queue = HeapScheduler()
-    queue.push((0.0, 1, 1, None))
-    with pytest.raises(ValueError):
-        make_scheduler(queue)
-    assert isinstance(make_scheduler(CalendarQueueScheduler()),
-                      CalendarQueueScheduler)
-
-
-def test_env_var_selects_default_scheduler():
-    env = dict(os.environ)
-    try:
-        os.environ["REPRO_SIM_SCHEDULER"] = "calendar"
-        assert Environment().scheduler_name == "calendar"
-        os.environ["REPRO_SIM_SCHEDULER"] = "bogus"
-        import pytest
-        with pytest.raises(ValueError):
-            Environment()
-    finally:
-        os.environ.clear()
-        os.environ.update(env)
-
-
-# -- cross-process determinism (fresh interpreter per scheduler) -----------
+# -- cross-process determinism (fresh interpreter per run) -----------------
 
 _SUBPROCESS_SNIPPET = """
-import json, sys
+import json
 from repro.mpi import MpiWorld
 from repro.obs import WorkMeter
 
 meter = WorkMeter()
-world = MpiWorld("sp2", 16, seed=0, scheduler=sys.argv[1])
+world = MpiWorld("sp2", 16, seed=0)
 world.env.work = meter
 elapsed = world.run_collective("allreduce", 4096)
 print(json.dumps({"work": meter.snapshot(), "elapsed": elapsed},
@@ -317,14 +277,14 @@ print(json.dumps({"work": meter.snapshot(), "elapsed": elapsed},
 """
 
 
-def test_work_dump_identical_across_processes_and_schedulers():
-    """Satellite: the same perfsuite-style workload in separate worker
-    processes — one per scheduler, random hash seeds — must emit
-    byte-identical WorkMeter dumps and simulated times."""
+def test_work_dump_identical_across_processes():
+    """The same perfsuite-style workload in two worker processes with
+    random hash seeds must emit byte-identical WorkMeter dumps and
+    simulated times."""
     outputs = set()
-    for scheduler in ("heap", "calendar"):
+    for _ in range(2):
         proc = subprocess.run(
-            [sys.executable, "-c", _SUBPROCESS_SNIPPET, scheduler],
+            [sys.executable, "-c", _SUBPROCESS_SNIPPET],
             capture_output=True, text=True, check=True,
             env={**os.environ, "PYTHONPATH": REPO_SRC,
                  "PYTHONHASHSEED": "random"})
