@@ -26,10 +26,10 @@ Sections, each driven by one artifact family in the bundle:
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 from typing import Any, Mapping, Union
 
+from ..canonical import dumps_canonical
 from ..obs.ledger import validate_ledger
 
 __all__ = ["render_dashboard_html", "write_dashboard"]
@@ -39,8 +39,7 @@ PathLike = Union[str, Path]
 
 def _embed_json(payload: Any) -> str:
     """Canonical JSON, safe inside a ``<script>`` island."""
-    text = json.dumps(payload, indent=2, sort_keys=True)
-    return text.replace("</", "<\\/")
+    return dumps_canonical(payload).rstrip("\n").replace("</", "<\\/")
 
 
 def render_dashboard_html(ledger: Mapping[str, Any],

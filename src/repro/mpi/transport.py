@@ -12,9 +12,14 @@ machine's hardware pipeline:
    fabric carry the message (concurrently — the adapter streams into
    the fabric), then the destination NIC's receive engine ejects it,
    and after the kernel's dispatch latency the message becomes
-   matchable at the destination.  A contention- and fault-free message
-   is booked analytically (:meth:`Transport._wire_fast`); every other
-   one runs the attempt loop of :meth:`Transport._wire` — exactly one
+   matchable at the destination.  Without a fault plan, tracing or
+   metrics, a message whose NIC engines are free is carried without
+   wire processes (:meth:`Transport._wire_fast`): its route is booked
+   analytically when every link is idle, or else acquired by the
+   fabric's callback route chain
+   (:meth:`~repro.network.NetworkFabric.chain_route`), which queues in
+   the link FIFOs exactly as a process would.  Every other message
+   runs the attempt loop of :meth:`Transport._wire` — exactly one
    attempt without a fault plan, ack/timeout/retransmit rounds with
    one.
 4. **Match** — a posted receive matching ``(src, tag)`` completes;
@@ -30,6 +35,7 @@ effect behind the O(p) startup terms of Table 3.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Generator, List, Optional
 
 from ..machines import Machine
@@ -147,7 +153,7 @@ class Transport:
     # -- analytic short-circuit -------------------------------------------
     def _wire_fast(self, src: int, dst: int, nbytes: int, tag: object,
                    op: str, fast: bool) -> bool:
-        """Try to carry one message analytically, without wire processes.
+        """Try to carry one message without wire processes.
 
         Eligibility is checked explicitly: no fault injector (a
         :class:`~repro.faults.FaultPlan` must see every hop simulated),
@@ -157,16 +163,22 @@ class Transport:
         the bookings back and returns ``False``, and the caller runs
         the one attempt loop of :meth:`_wire` — the full path, kept as
         the reference the differential harness compares this one
-        against.  With the engines booked, a route link busy *at this
-        instant* hands the fabric leg alone to :meth:`_wire_contended`.
+        against.
 
-        When the route books too, the wire end is the max of the three booked
-        leg ends — exactly when ``all_of`` over the three concurrent
-        leg processes would have fired — and two plain events replace
-        the four processes and their resource protocol: a *landing*
-        event at the wire end (where the delivery jitter is drawn, at
-        the same simulated time as the full path draws it) and a
-        *deliver* event after the kernel dispatch latency.
+        With the engines booked, the wire ends when the slowest of the
+        three legs does — exactly when ``all_of`` over the full path's
+        three concurrent leg processes would have fired.  When every
+        route link is idle the route is booked too and the wire end is
+        known now.  When a link is busy *at this instant*, the fabric's
+        route chain (:meth:`~repro.network.NetworkFabric.chain_route`)
+        acquires, holds and releases the route with callbacks and hands
+        back the release time (:meth:`_wire_released`).  Either way two
+        plain events replace the four processes and their resource
+        protocol: a *landing* event at the wire end (where the delivery
+        jitter is drawn, at the same simulated time as the full path
+        draws it) and a *deliver* event after the kernel dispatch
+        latency.  The landing runs at once instead when the route's
+        release is already the wire end.
         """
         machine = self.machine
         if machine.injector is not None or not machine.fast_wire or \
@@ -197,57 +209,51 @@ class Transport:
         work = env.work
         if work is not None:
             work.resource_occupancies += 2  # the two engine bookings
-        routed = machine.fabric.try_book_route(src, dst, nbytes)
+        now = env._now
+        envelope = Envelope(src=src, dst=dst, tag=tag, nbytes=nbytes,
+                            sent_at=now)
+        engines_end = tx[0] if tx[0] > rx[0] else rx[0]
+        fabric = machine.fabric
+        routed = fabric.try_book_route(src, dst, nbytes)
         if routed is None:
             # Route contended: the engine bookings stand (the full
             # path's engine legs run concurrently with the fabric leg
-            # anyway) and only the fabric part is simulated, by a lean
-            # process that queues in the link FIFOs like any other.
-            env.process(self._wire_contended(src, dst, nbytes, tag,
-                                             tx[0], rx[0]))
+            # anyway) and the route chain queues in the link FIFOs like
+            # any other transfer.
+            fabric.chain_route(src, dst, nbytes, partial(
+                self._wire_released, envelope, engines_end))
             return True
         hold, bookings = routed
-        machine.fabric.commit_route(bookings, nbytes, hold)
-        now = env._now
-        wire_end = tx[0]
-        if now + hold > wire_end:
-            wire_end = now + hold
-        if rx[0] > wire_end:
-            wire_end = rx[0]
-        envelope = Envelope(src=src, dst=dst, tag=tag, nbytes=nbytes,
-                            sent_at=now)
-        landing = Event(env)
+        fabric.commit_route(bookings, nbytes, hold)
+        wire_end = now + hold
+        if engines_end > wire_end:
+            wire_end = engines_end
+        self._schedule_landing(envelope, wire_end)
+        return True
+
+    def _wire_released(self, envelope: Envelope, engines_end: float,
+                       release: float) -> None:
+        """The route chain released the route: the wire ends at the
+        later of the release and the engine legs' ends."""
+        if engines_end > release:
+            self._schedule_landing(envelope, engines_end)
+        else:
+            self._land(envelope)
+
+    def _schedule_landing(self, envelope: Envelope, at: float) -> None:
+        landing = Event(self.env)
         landing._ok = True
         landing._value = envelope
         landing.callbacks.append(self._wire_fast_landed)
-        env._schedule(landing, wire_end, NORMAL)
-        return True
-
-    def _wire_contended(self, src: int, dst: int, nbytes: int,
-                        tag: object, tx_end: float, rx_end: float
-                        ) -> Generator[Event, None, None]:
-        """Wire pipeline for a short-circuit-eligible message whose
-        route was busy: the engine ends are already booked/known, the
-        fabric transfer is simulated (waiting in link queues), and the
-        wire ends when the slowest of the three is done — exactly when
-        the full path's ``all_of`` over the legs would have fired."""
-        env = self.env
-        envelope = Envelope(src=src, dst=dst, tag=tag, nbytes=nbytes,
-                            sent_at=env._now)
-        yield from self.machine.fabric.transfer(src, dst, nbytes)
-        wire_end = tx_end if tx_end > rx_end else rx_end
-        if wire_end > env._now:
-            yield env.sleep_until(wire_end)
-        yield env.sleep(self.spec.software.deliver_us *
-                        self.machine.jitter(dst))
-        envelope.delivered_at = env._now
-        self._deliver(envelope)
+        self.env._schedule(landing, at, NORMAL)
 
     def _wire_fast_landed(self, event: Event) -> None:
+        self._land(event._value)
+
+    def _land(self, envelope: Envelope) -> None:
         """The message's tail has left the network: draw the delivery
         jitter (at the same simulated time the full path draws it) and
         schedule the actual delivery."""
-        envelope = event._value
         env = self.env
         deliver = Event(env)
         deliver._ok = True

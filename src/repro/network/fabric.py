@@ -14,6 +14,16 @@ Deadlock freedom: links are always acquired in one global canonical
 order (their index in ``topology.links()``), so no cyclic wait can
 arise regardless of topology or traffic pattern.
 
+Contended routes without processes: a transfer the transport's
+short-circuit could not book (some route link busy at issue) is carried
+by :meth:`NetworkFabric.chain_route`, a chain of callbacks that
+acquires the route's links in canonical order — granting each in place
+(:meth:`~repro.sim.Resource.try_grant`) when its grant event would have
+been the next one popped, else through the request/grant protocol —
+holds them, and releases them.  Its events sit where a process running
+:meth:`NetworkFabric.transfer` would schedule its own, minus the
+skipped grants, so times and FIFO orders are the process path's.
+
 Observability: every link accumulates busy/wait time (see
 :class:`~repro.network.link.Link`), transfers emit ``link``-category
 occupancy spans nested under the message span when tracing is on, and
@@ -23,10 +33,11 @@ the machine's metrics registry.
 
 from __future__ import annotations
 
-from typing import Dict, Generator, List, Optional, Tuple
+from typing import Callable, Dict, Generator, List, Optional, Tuple
 
 from ..obs.metrics import MetricsRegistry
-from ..sim import Environment, Event, Interrupt, Span, Tracer
+from ..sim import Environment, Event, Interrupt, Request, Span, Tracer
+from ..sim.engine import NORMAL, URGENT
 from .link import Link, LinkParameters
 from .topology import LinkId, Topology
 
@@ -78,6 +89,7 @@ class NetworkFabric:
         # transfer (positions/turns math) shows up hard in alltoall.
         # Detours around dead links are computed fresh every time.
         self._route_cache: Dict[Tuple[int, int], List[LinkId]] = {}
+        self._links_cache: Dict[Tuple[int, int], List[Link]] = {}
 
     def _route(self, src: int, dst: int) -> List[LinkId]:
         """The (cached) fault-free route for ``src`` -> ``dst``."""
@@ -87,6 +99,16 @@ class NetworkFabric:
             route = self.topology.route(src, dst)
             self._route_cache[key] = route
         return route
+
+    def _route_links(self, src: int, dst: int) -> List[Link]:
+        """The (cached) fault-free route's links in acquisition order."""
+        key = (src, dst)
+        links = self._links_cache.get(key)
+        if links is None:
+            links = [self._links[link_id] for link_id in sorted(
+                self._route(src, dst), key=self._order.__getitem__)]
+            self._links_cache[key] = links
+        return links
 
     def link(self, link_id: LinkId) -> Link:
         """The :class:`Link` object for ``link_id``."""
@@ -134,17 +156,16 @@ class NetworkFabric:
         :meth:`undo_route` (a later leg of its own booking failed).
         No counters or link statistics are touched until commit.
         """
-        route = self._route(src, dst)
-        if not route:
+        links = self._route_links(src, dst)
+        if not links:
             return 0.0, []
-        hold = len(route) * self.params.hop_latency_us + \
+        hold = len(links) * self.params.hop_latency_us + \
             nbytes * self.params.us_per_byte
         if not self.contention:
             return hold, []
         now = self.env._now
         bookings: RouteBooking = []
-        for link_id in sorted(route, key=self._order.__getitem__):
-            link = self._links[link_id]
+        for link in links:
             booking = link.resource.try_occupy(hold)
             if booking is None or booking[0] != now:
                 if booking is not None:
@@ -172,6 +193,22 @@ class NetworkFabric:
             work.transfers_booked += 1
             work.transfers_completed += 1
             work.transfers_shortcircuited += 1
+
+    def chain_route(self, src: int, dst: int, nbytes: int,
+                    on_release: Callable[[float], None]) -> None:
+        """Carry a transfer :meth:`try_book_route` refused, without a
+        process.
+
+        Same preconditions as :meth:`try_book_route` (no fault
+        injector, no tracing or metrics), and only for a non-empty
+        route with contention on — the only routes that booking can
+        refuse.  The transfer starts from one event at ``(now,
+        URGENT)``, where a process's first step would run, and ends by
+        calling ``on_release(release_time)`` once every link is
+        released.  Work counters and link statistics move exactly as
+        under :meth:`transfer`.
+        """
+        _RouteChain(self, src, dst, nbytes, on_release)
 
     def transfer(self, src: int, dst: int, nbytes: int,
                  parent_span: Optional[Span] = None
@@ -309,3 +346,88 @@ class NetworkFabric:
         return {link_id: link.bytes_carried
                 for link_id, link in self._links.items()
                 if link.transfers}
+
+
+class _RouteChain:
+    """One contended transfer, carried by callbacks instead of a process.
+
+    The steps are those of :meth:`NetworkFabric._occupy`: request the
+    links in canonical order, each grant advancing to the next link;
+    hold the whole route for ``hold``; record and release every link.
+    A link whose grant event would have been the next one popped is
+    granted in place (:meth:`~repro.sim.Resource.try_grant`); the
+    chain's callbacks are always the sole callback of their event,
+    which that rule requires.  Any other link goes through
+    :meth:`~repro.sim.Resource.request` and a grant callback, queueing
+    in its FIFO like a process would.
+    """
+
+    __slots__ = ("fabric", "nbytes", "on_release", "links", "hold",
+                 "requests", "queued_at", "asked_at")
+
+    #: The engine profiler names a callback's site after its owner's
+    #: ``name``: the chain's callbacks are fabric route work.
+    name = "fabric.route"
+
+    def __init__(self, fabric: NetworkFabric, src: int, dst: int,
+                 nbytes: int, on_release: Callable[[float], None]):
+        env = fabric.env
+        work = env.work
+        if work is not None:
+            work.transfers_booked += 1
+        self.fabric = fabric
+        self.nbytes = nbytes
+        self.on_release = on_release
+        self.links = fabric._route_links(src, dst)
+        self.hold = len(self.links) * fabric.params.hop_latency_us + \
+            nbytes * fabric.params.us_per_byte
+        self.requests: List[Request] = []
+        self.queued_at = env._now
+        start = Event(env)
+        start._ok = True
+        start.callbacks.append(self._acquire)
+        env._schedule(start, env._now, URGENT)
+
+    def _granted(self, _event: Event) -> None:
+        link_wait = self.fabric.env._now - self.asked_at
+        if link_wait > 0:
+            self.links[len(self.requests) - 1].record_wait(link_wait)
+        self._acquire(_event)
+
+    def _acquire(self, _event: Event) -> None:
+        """Take links until one must be waited for, then hold the route."""
+        env = self.fabric.env
+        links = self.links
+        requests = self.requests
+        while len(requests) < len(links):
+            resource = links[len(requests)].resource
+            request = resource.try_grant()
+            if request is None:
+                self.asked_at = env._now
+                request = resource.request()
+                requests.append(request)
+                request.callbacks.append(self._granted)
+                return
+            requests.append(request)
+        now = env._now
+        work = env.work
+        if work is not None:
+            work.link_acquisitions += len(links)
+            if now - self.queued_at > 0:
+                work.transfers_stalled += 1
+        held = Event(env)
+        held._ok = True
+        held.callbacks.append(self._release)
+        env._schedule(held, now + self.hold, NORMAL)
+
+    def _release(self, _event: Event) -> None:
+        nbytes = self.nbytes
+        hold = self.hold
+        for link, request in zip(self.links, self.requests):
+            link.record(nbytes, busy_us=hold)
+            link.resource.release(request)
+        env = self.fabric.env
+        work = env.work
+        if work is not None:
+            work.transfers_completed += 1
+        self.on_release(env._now)

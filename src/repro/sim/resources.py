@@ -25,6 +25,29 @@ process held the resource, and a wakeup event grants the FIFO head when
 the booking expires — at the same simulated time a real release would
 have.  The differential-equivalence suite asserts this produces
 identical times to the pure request/release protocol.
+
+In-place grants
+---------------
+A caller that drives acquisition from callbacks rather than from a
+process (the fabric's contended-route chain) can skip the grant event
+too.  :meth:`Resource.try_grant` hands out a granted :class:`Request`
+with no event when both of these hold:
+
+* the resource is idle — no users, no waiters, no booking running past
+  ``now`` — so :meth:`~Resource.request` would grant at once; and
+* nothing is queued at the current instant (``env.peek() > env.now``),
+  so the grant event ``request()`` schedules would be the very next
+  event popped.
+
+The caller must run as the sole callback of the event being
+dispatched, so no other callback can schedule anything between the
+in-place grant and the point where the skipped event would have fired.
+Under those conditions the engine sees the same scheduling calls as
+with ``request()``, minus the skipped event, in the same order: every
+simulated time, FIFO order and random draw is unchanged.  Otherwise
+``try_grant`` returns ``None`` and the caller falls back to
+``request()``.  An in-place grant counts as one request and one grant,
+exactly as ``request()`` does.
 """
 
 from __future__ import annotations
@@ -143,6 +166,42 @@ class Resource:
             if work is not None:
                 work.resource_grants += 1
             nxt.succeed(nxt)
+
+    # -- in-place grant -----------------------------------------------------
+    def try_grant(self) -> Optional[Request]:
+        """Grant one unit now, with no event, or return ``None``.
+
+        Only possible when the resource is idle and nothing else is
+        queued at the current instant (see the module docstring); the
+        caller must be the sole callback of the event being
+        dispatched.  The returned request is already processed and is
+        given back with :meth:`release` like any other grant.
+        """
+        env = self.env
+        now = env._now
+        if self._users or self._waiting or self._busy_until > now or \
+                env.peek() <= now:
+            return None
+        profiler = env.profiler
+        if profiler is None:
+            return self._grant_in_place()
+        profiler.enter("resource.request")
+        try:
+            return self._grant_in_place()
+        finally:
+            profiler.leave()
+
+    def _grant_in_place(self) -> Request:
+        req = Request(self)
+        req._ok = True
+        req._value = req
+        req.callbacks = None
+        work = self.env.work
+        if work is not None:
+            work.resource_requests += 1
+            work.resource_grants += 1
+        self._users.add(req)
+        return req
 
     # -- request/grant/release protocol -----------------------------------
     def request(self) -> Request:

@@ -182,3 +182,90 @@ def test_idle_route_is_acquired_link_by_link():
     assert work.transfers_completed == 1
     assert work.transfers_stalled == 0
     assert sorted(fabric.utilisation().values()) == [1048] * 3
+
+
+# -- the contended-route chain --------------------------------------------
+
+def issue_chain(fabric, src, dst, nbytes, log, name):
+    fabric.chain_route(src, dst, nbytes,
+                       lambda release: log.append((name, release)))
+
+
+def issue_process(fabric, src, dst, nbytes, log, name):
+    env = fabric.env
+
+    def body():
+        yield from fabric.transfer(src, dst, nbytes)
+        log.append((name, env.now))
+
+    env.process(body())
+
+
+def release_log(issue_x, scenario):
+    """Run ``scenario`` with transfer X issued by ``issue_x`` and Y as a
+    process; return (release log, per-link waits, work meter)."""
+    env = Environment()
+    env.work = WorkMeter()
+    fabric = NetworkFabric(env, Mesh2D(4, 1), PARAMS)
+    log = []
+    scenario(fabric, issue_x, log)
+    env.run()
+    waits = {link_id: (link.wait_us, link.contended_transfers)
+             for link_id, link in fabric._links.items()}
+    return log, waits, env.work
+
+
+def same_instant_routes(fabric, issue_x, log):
+    # X: 0->2 over links 0->1, 1->2; Y: 1->2 over 1->2.  Both at t=0.
+    issue_x(fabric, 0, 2, 1048, log, "X")
+    issue_process(fabric, 1, 2, 1048, log, "Y")
+
+
+def pending_event_routes(fabric, issue_x, log):
+    # X is issued at t=5 while the event issuing Y is pending at t=5.
+    env = fabric.env
+    env.timeout(5.0).callbacks.append(
+        lambda _event: issue_x(fabric, 0, 2, 1048, log, "X"))
+    env.timeout(5.0).callbacks.append(
+        lambda _event: issue_process(fabric, 1, 2, 1048, log, "Y"))
+
+
+def assert_chain_matches_process(scenario, start):
+    chain_log, chain_waits, chain_work = release_log(issue_chain, scenario)
+    ref_log, ref_waits, ref_work = release_log(issue_process, scenario)
+    hold_y = 0.1 + 1048 * PARAMS.us_per_byte
+    hold_x = 0.2 + 1048 * PARAMS.us_per_byte
+    # Y reaches the shared link first; X queues behind it.
+    assert ref_log == [("Y", start + hold_y), ("X", start + hold_y + hold_x)]
+    assert chain_log == ref_log
+    assert chain_waits == ref_waits
+    for counter in ("resource_requests", "resource_grants",
+                    "link_acquisitions", "transfers_booked",
+                    "transfers_stalled", "transfers_completed"):
+        assert getattr(chain_work, counter) == getattr(ref_work, counter), \
+            counter
+    assert chain_work.transfers_stalled == 1
+
+
+def test_route_chains_issued_in_one_instant_keep_fifo_order():
+    assert_chain_matches_process(same_instant_routes, 0.0)
+
+
+def test_route_chain_waits_for_events_pending_at_now():
+    assert_chain_matches_process(pending_event_routes, 5.0)
+
+
+def test_route_chain_grants_in_place_at_a_quiet_instant():
+    def alone(fabric, issue_x, log):
+        issue_x(fabric, 0, 3, 1048, log, "X")
+
+    chain_log, _, chain_work = release_log(issue_chain, alone)
+    ref_log, _, ref_work = release_log(issue_process, alone)
+    assert chain_log == ref_log == [("X", 0.3 + 1048 * PARAMS.us_per_byte)]
+    # One start and one hold event: all three grants were in place.
+    assert chain_work.events_fired == 2
+    assert ref_work.events_fired > chain_work.events_fired
+    assert chain_work.resource_requests == ref_work.resource_requests == 3
+    assert chain_work.resource_grants == ref_work.resource_grants == 3
+    assert chain_work.link_acquisitions == 3
+    assert chain_work.transfers_stalled == 0

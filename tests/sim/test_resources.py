@@ -4,6 +4,7 @@ import pytest
 
 from repro.obs.perf import WorkMeter
 from repro.sim import Environment, FilterStore, Resource, SimulationError, Store
+from repro.sim.engine import URGENT
 
 
 def test_resource_grants_up_to_capacity():
@@ -339,3 +340,157 @@ def test_booking_counts_as_occupancy_not_grant():
     assert meter.resource_occupancies == 1
     assert meter.resource_requests == 0
     assert meter.resource_grants == 0
+
+
+# -- in-place grants -------------------------------------------------------
+
+def acquire_by_chain(env, resources, name, log):
+    """Take ``resources`` in order from callbacks — in place where
+    :meth:`Resource.try_grant` allows, else through ``request()`` and a
+    grant callback — hold them for 1.0, then release; log each grant."""
+    held = []
+
+    def step(_event):
+        while len(held) < len(resources):
+            resource = resources[len(held)]
+            request = resource.try_grant()
+            if request is None:
+                request = resource.request()
+                held.append(request)
+                request.callbacks.append(granted)
+                return
+            held.append(request)
+            log.append((name, len(held) - 1, env.now))
+        env.timeout(1.0).callbacks.append(release)
+
+    def granted(_event):
+        log.append((name, len(held) - 1, env.now))
+        step(_event)
+
+    def release(_event):
+        for resource, request in zip(resources, held):
+            resource.release(request)
+
+    start = env.event()
+    start.callbacks.append(step)
+    start.succeed(priority=URGENT)
+
+
+def acquire_by_process(env, resources, name, log):
+    """The request/grant protocol reference for :func:`acquire_by_chain`."""
+    def body():
+        held = []
+        for index, resource in enumerate(resources):
+            request = resource.request()
+            held.append(request)
+            yield request
+            log.append((name, index, env.now))
+        yield env.timeout(1.0)
+        for resource, request in zip(resources, held):
+            resource.release(request)
+
+    env.process(body())
+
+
+def grant_log(acquire, scenario):
+    env = Environment()
+    env.work = WorkMeter()
+    log = []
+    scenario(env, acquire, log)
+    env.run()
+    return log, env.work
+
+
+def same_instant(env, acquire, log):
+    # X takes [a, b] and Y takes [b], both issued at t=0, X first.
+    a, b = Resource(env), Resource(env)
+    acquire(env, [a, b], "X", log)
+    acquire(env, [b], "Y", log)
+
+
+def pending_at_issue(env, acquire, log):
+    # At t=5 X is issued over [a, b] while the event issuing Y over [b]
+    # is still pending at that instant.
+    a, b = Resource(env), Resource(env)
+    env.timeout(5.0).callbacks.append(
+        lambda _event: acquire(env, [a, b], "X", log))
+    env.timeout(5.0).callbacks.append(
+        lambda _event: acquire(env, [b], "Y", log))
+
+
+def test_try_grant_same_instant_chains_keep_fifo_order():
+    # X's grant on ``a`` is an event in the request protocol, and Y's
+    # start is popped before it: Y reaches ``b`` first.  Granting X's
+    # links in place would hand ``b`` to X.
+    chain, chain_work = grant_log(acquire_by_chain, same_instant)
+    reference, reference_work = grant_log(acquire_by_process, same_instant)
+    assert reference == [("X", 0, 0.0), ("Y", 0, 0.0), ("X", 1, 1.0)]
+    assert chain == reference
+    assert chain_work.resource_grants == reference_work.resource_grants
+
+
+def test_try_grant_waits_for_events_pending_at_now():
+    chain, _ = grant_log(acquire_by_chain, pending_at_issue)
+    reference, _ = grant_log(acquire_by_process, pending_at_issue)
+    assert reference == [("X", 0, 5.0), ("Y", 0, 5.0), ("X", 1, 6.0)]
+    assert chain == reference
+
+
+def test_try_grant_at_a_quiet_instant_skips_the_grant_events():
+    def alone(env, acquire, log):
+        acquire(env, [Resource(env), Resource(env)], "X", log)
+
+    chain, chain_work = grant_log(acquire_by_chain, alone)
+    reference, reference_work = grant_log(acquire_by_process, alone)
+    assert chain == reference == [("X", 0, 0.0), ("X", 1, 0.0)]
+    # Start and hold only: both grant events were skipped.
+    assert chain_work.events_fired == 2
+    assert reference_work.events_fired > chain_work.events_fired
+    for counter in ("resource_requests", "resource_grants",
+                    "resource_releases"):
+        assert getattr(chain_work, counter) == \
+            getattr(reference_work, counter) == 2
+
+
+def test_try_grant_counts_like_request():
+    env = Environment()
+    meter = WorkMeter()
+    env.work = meter
+    requested, granted = Resource(env), Resource(env)
+    requested.request()
+    env.run()  # fire its grant event: nothing is pending any more
+    after_request = meter.snapshot()
+    request = granted.try_grant()
+    assert request is not None and request.processed
+    assert request.value is request
+    assert granted.count == 1
+    after_grant = meter.snapshot()
+    for counter in ("resource_requests", "resource_grants"):
+        assert after_request[counter] == 1
+        assert after_grant[counter] == 2
+    # No event is scheduled for an in-place grant.
+    assert after_grant["events_scheduled"] == \
+        after_request["events_scheduled"]
+    granted.release(request)
+    assert granted.count == 0
+    assert meter.resource_releases == 1
+
+
+def test_try_grant_refused_unless_idle_at_a_quiet_instant():
+    env = Environment()
+    resource = Resource(env)
+    held = resource.request()  # a user holds it (its grant is pending)
+    assert resource.try_grant() is None
+    env.run()
+    queued = resource.request()  # a waiter is queued
+    assert resource.try_grant() is None
+    resource.release(held)
+    resource.release(queued)
+    env.run()
+    resource.try_occupy(1.0)  # booked past now
+    assert resource.try_grant() is None
+    env.run(until=1.0)
+    env.timeout(0.0)  # an event pending at the current instant
+    assert resource.try_grant() is None
+    env.run()
+    assert resource.try_grant() is not None

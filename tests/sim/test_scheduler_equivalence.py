@@ -12,7 +12,9 @@ graphs (hypothesis) and real MPI workloads and asserts
   non-decreasing time order;
 * short-circuited (``fast_wire=True``) runs match full-simulation
   times to 1e-12 s (1e-6 of this repo's microsecond unit) and carry the
-  same traffic: equal bytes per link and message counts per NIC.
+  same traffic: equal bytes per link and message counts per NIC —
+  including contended total exchanges, whose busy routes go through
+  the fabric's callback route chain.
 """
 
 import json
@@ -178,6 +180,15 @@ MPI_CASES = [
     ("t3d", "broadcast", 65536, 64),
 ]
 
+#: Total exchanges whose routes collide: the fast path hands most of
+#: their transfers to the fabric's route chain, which waits in link
+#: FIFOs.
+CONTENDED_CASES = [
+    ("paragon", "alltoall", 65536, 16),
+    ("t3d", "alltoall", 65536, 32),
+    ("paragon", "alltoall", 65536, 32),
+]
+
 
 @st.composite
 def mpi_workloads(draw):
@@ -190,20 +201,28 @@ def mpi_workloads(draw):
     return machine, op, nbytes, p
 
 
-def run_collective(machine, op, nbytes, p, fast_wire=True):
+def run_collective(machine, op, nbytes, p, fast_wire=True, waits=False):
     """Run one collective; return (elapsed, work snapshot, traffic).
 
     ``traffic`` is what the wire paths put on the hardware: bytes per
-    link and ``(messages_sent, messages_received)`` per NIC."""
+    link and ``(messages_sent, messages_received)`` per NIC — plus,
+    with ``waits``, each link's queueing delay and waiting-transfer
+    count."""
     world = MpiWorld(machine, p, seed=0, fast_wire=fast_wire)
     meter = WorkMeter()
     world.env.work = meter
     elapsed = world.run_collective(op, nbytes)
+    fabric = world.machine.fabric
     traffic = {
-        "links": world.machine.fabric.utilisation(),
+        "links": fabric.utilisation(),
         "nics": [(node.nic.messages_sent, node.nic.messages_received)
                  for node in world.machine.nodes],
     }
+    if waits:
+        traffic["waits"] = {
+            link_id: (fabric.link(link_id).wait_us,
+                      fabric.link(link_id).contended_transfers)
+            for link_id in traffic["links"]}
     return elapsed, meter.snapshot(), traffic
 
 
@@ -259,6 +278,24 @@ def test_short_circuit_exact_on_fixed_cases():
         assert fast_traffic["links"], f"{workload} carried no bytes"
         assert fast_work["transfers_shortcircuited"] > 0, \
             f"{workload} never took the analytic path"
+
+
+def test_route_chain_exact_on_contended_alltoall():
+    # Equal link waits and stall counts pin the order in which the
+    # route chain wins each link FIFO, not only the collective's time.
+    for workload in CONTENDED_CASES:
+        fast_time, fast_work, fast_traffic = run_collective(
+            *workload, fast_wire=True, waits=True)
+        slow_time, slow_work, slow_traffic = run_collective(
+            *workload, fast_wire=False, waits=True)
+        assert fast_work["transfers_stalled"] > 0, \
+            f"{workload} never waited for a link"
+        assert fast_work["transfers_shortcircuited"] > 0, workload
+        assert abs(fast_time - slow_time) <= TIME_TOLERANCE_US, workload
+        assert fast_traffic == slow_traffic, workload
+        for counter in ("link_acquisitions", "transfers_stalled"):
+            assert fast_work[counter] == slow_work[counter], \
+                (workload, counter)
 
 
 # -- cross-process determinism (fresh interpreter per run) -----------------
