@@ -121,6 +121,24 @@ class ChaosRun:
             lines.append("  injector: no faults fired")
         return "\n".join(lines)
 
+    def document(self) -> Dict[str, object]:
+        """The ``repro-bench chaos --out`` JSON dump: the injector
+        counters plus the faulty run's full metrics snapshot."""
+        return {
+            "machine": self.machine,
+            "op": self.op,
+            "plan": self.plan.name,
+            "nbytes": self.nbytes,
+            "nodes": self.num_nodes,
+            "iterations": self.iterations,
+            "seed": self.seed,
+            "clean_us": self.clean_us,
+            "faulty_us": self.faulty_us,
+            "penalty_us": self.penalty_us,
+            "counters": self.counters,
+            "metrics": self.metrics_snapshot,
+        }
+
 
 def run_chaos(machine: str, op: str, plan: FaultPlan,
               nbytes: int = 4096, num_nodes: int = 16,

@@ -26,13 +26,14 @@ overhaul (and every PR after it) is judged against.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 from time import perf_counter
 from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple, Union
 
 from ..canonical import dumps_canonical as dumps_perf_artifact
+from ..canonical import load_canonical
+from ..canonical import write_canonical as write_perf_artifact
 from ..obs.perf import WorkMeter
 from ..obs.profiler import EngineProfiler
 from ..sim import SIM_VERSION
@@ -410,19 +411,6 @@ def check_perf_artifact(current: Mapping[str, Any],
         min_ratio=min_ratio)
 
 
-def write_perf_artifact(payload: Mapping[str, Any],
-                        path: PathLike) -> Path:
-    path = Path(path)
-    path.write_text(dumps_perf_artifact(payload), "utf-8")
-    return path
-
-
 def load_perf_artifact(path: PathLike) -> Dict[str, Any]:
-    path = Path(path)
-    payload = json.loads(path.read_text("utf-8"))
-    schema = payload.get("schema")
-    if schema != PERF_SCHEMA:
-        raise ValueError(f"{path} is not an engine-perf artifact "
-                         f"(schema {schema!r}, expected "
-                         f"{PERF_SCHEMA!r})")
-    return payload
+    """Load and schema-check an engine-perf artifact."""
+    return load_canonical(path, PERF_SCHEMA, "an engine-perf artifact")

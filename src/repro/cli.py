@@ -25,11 +25,16 @@ Examples::
         BENCH_sweep.json
     repro-bench dash --artifacts . --capture t3d:broadcast \\
         --faults single-link-outage --out site
+
+Bad input exits 2 with a one-line message on stderr, never a
+traceback.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import dataclasses
 import os
 import sys
 from typing import List, Optional, Tuple
@@ -47,10 +52,31 @@ from .bench import (
 )
 from .core import QUICK_CONFIG, MeasurementConfig, measure_collective
 from .core.report import format_us
+from .faults import FAULT_FREE, fault_preset
+from .machines import get_machine_spec
+from .mpi import COLLECTIVE_OPS
 
 __all__ = ["main"]
 
 _FIGURES = {1: figure1, 2: figure2, 3: figure3, 4: figure4, 5: figure5}
+_MACHINES = ("sp2", "t3d", "paragon")
+
+
+class _UsageError(Exception):
+    """Bad command-line input: ``main`` prints it and exits 2."""
+
+
+@contextlib.contextmanager
+def _usage(*errors):
+    """Re-raise ``errors`` from the block as a :class:`_UsageError`.
+
+    A ``KeyError`` reports its message (its ``str`` would quote it).
+    """
+    try:
+        yield
+    except errors as error:
+        raise _UsageError(error.args[0] if isinstance(error, KeyError)
+                          else error) from None
 
 
 def _positive_int(text: str) -> int:
@@ -60,11 +86,87 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _non_negative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def _positive_float(text: str) -> float:
     value = float(text)
     if value <= 0:
         raise argparse.ArgumentTypeError(f"must be > 0, got {value}")
     return value
+
+
+#: Arguments several commands share, each declared once here.
+_SHARED = {
+    "machine": dict(choices=_MACHINES),
+    "op": dict(choices=COLLECTIVE_OPS, metavar="op"),
+    "--bytes": dict(type=_non_negative_int),
+    "--nodes": dict(type=int),
+    "--workers": dict(type=_positive_int, default=1,
+                      help="worker processes for simulated cells"),
+    "--cache-dir": dict(metavar="PATH",
+                        help="cache root (default $REPRO_SWEEP_CACHE or "
+                             "~/.cache/repro/sweep)"),
+    "--no-cache": dict(action="store_true",
+                       help="neither read nor write the result cache"),
+    "--iterations": dict(type=_positive_int,
+                         default=QUICK_CONFIG.iterations),
+    "--runs": dict(type=_positive_int, default=QUICK_CONFIG.runs),
+    "--seed": dict(type=int, default=QUICK_CONFIG.seed),
+}
+#: One (machine, op, m, p) point; ``main`` checks ``--nodes`` against
+#: the machine before anything runs.
+_POINT = ("machine", "op", "--bytes", "--nodes")
+#: The point that ``trace``, ``profile``, ``chaos``, ``critpath`` and
+#: ``dash --capture`` run unless told otherwise.
+_CAPTURE_POINT = dict(bytes=4096, nodes=16, iterations=1, seed=0)
+
+
+def _add_shared(parser: argparse.ArgumentParser, *names: str,
+                capture: bool = False, **defaults) -> None:
+    """Declare the shared arguments ``names`` in order, then
+    ``defaults`` on top.  ``capture`` words the help for
+    ``dash --capture MACHINE:OP``."""
+    nouns = {"--bytes": "message size", "--nodes": "node count",
+             "--seed": "seed"}
+    for name in names:
+        options = dict(_SHARED[name])
+        if capture:
+            options["help"] = f"{nouns[name]} for --capture"
+        parser.add_argument(name, **options)
+    parser.set_defaults(**defaults)
+
+
+def _check_nodes(machine: str, nodes: int) -> None:
+    with _usage(ValueError):
+        get_machine_spec(machine).check_nodes(nodes)
+
+
+def _fault_plan(name: Optional[str]):
+    """The ``--faults`` preset called ``name``; None for none/"none"."""
+    if not name or name == "none":
+        return None
+    with _usage(KeyError):
+        return fault_preset(name)
+
+
+def _protocol(args, faults=None) -> MeasurementConfig:
+    """The §2 timing protocol ``--iterations/--runs/--seed`` ask for."""
+    return dataclasses.replace(QUICK_CONFIG, iterations=args.iterations,
+                               runs=args.runs, seed=args.seed,
+                               faults=faults)
+
+
+def _capture(args, **options):
+    """Run the command's point once through ``capture_collective``."""
+    from .obs.capture import capture_collective
+    return capture_collective(
+        args.machine, args.op, nbytes=args.bytes, num_nodes=args.nodes,
+        iterations=args.iterations, seed=args.seed, **options)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -88,47 +190,37 @@ def _build_parser() -> argparse.ArgumentParser:
     figure.add_argument("--plot", action="store_true",
                         help="render the series as an ASCII log-log "
                              "chart")
+    figure.set_defaults(run=_run_figure)
 
-    sub.add_parser("table3", help="regenerate Table 3 (curve fits)")
-    sub.add_parser("headline", help="check the headline claims")
+    sub.add_parser("table3", help="regenerate Table 3 (curve fits)") \
+        .set_defaults(run=lambda args: print(format_table3(table3())))
+    sub.add_parser("headline", help="check the headline claims") \
+        .set_defaults(run=lambda args: print(
+            format_headline(headline_checks())))
 
     measure = sub.add_parser("measure",
                              help="measure one (machine, op, m, p) point")
-    measure.add_argument("machine", choices=["sp2", "t3d", "paragon"])
-    measure.add_argument("op")
-    measure.add_argument("--bytes", type=int, default=1024)
-    measure.add_argument("--nodes", type=int, default=32)
-    measure.add_argument("--iterations", type=int,
-                         default=QUICK_CONFIG.iterations)
-    measure.add_argument("--runs", type=int, default=QUICK_CONFIG.runs)
-    measure.add_argument("--seed", type=int, default=QUICK_CONFIG.seed)
+    _add_shared(measure, *_POINT, "--iterations", "--runs", "--seed",
+                bytes=1024, nodes=32, run=_run_measure)
 
     sensitivity = sub.add_parser(
         "sensitivity",
         help="which machine parameter dominates one (op, m, p) point")
-    sensitivity.add_argument("machine",
-                             choices=["sp2", "t3d", "paragon"])
-    sensitivity.add_argument("op")
-    sensitivity.add_argument("--bytes", type=int, default=1024)
-    sensitivity.add_argument("--nodes", type=int, default=32)
+    _add_shared(sensitivity, *_POINT, bytes=1024, nodes=32,
+                run=_run_sensitivity)
     sensitivity.add_argument("--top", type=int, default=8)
 
     apps = sub.add_parser(
         "app", help="run an application kernel with phase breakdown")
     apps.add_argument("name", choices=["stap", "fft2d", "samplesort"])
-    apps.add_argument("machine", choices=["sp2", "t3d", "paragon"])
-    apps.add_argument("--nodes", type=int, default=16)
+    _add_shared(apps, "machine", "--nodes", nodes=16, run=_run_app)
 
     trace = sub.add_parser(
         "trace",
         help="capture a span trace of one collective "
              "(Chrome-trace/Perfetto JSON, CSV)")
-    trace.add_argument("machine", choices=["sp2", "t3d", "paragon"])
-    trace.add_argument("op")
-    trace.add_argument("--bytes", type=int, default=4096)
-    trace.add_argument("--nodes", type=int, default=16)
-    trace.add_argument("--iterations", type=int, default=1)
-    trace.add_argument("--seed", type=int, default=0)
+    _add_shared(trace, *_POINT, "--iterations", "--seed",
+                **_CAPTURE_POINT, run=_run_trace)
     trace.add_argument("--max-spans", type=_positive_int, default=None,
                        help="bounded-memory ring: keep only the newest "
                             "N spans")
@@ -141,12 +233,8 @@ def _build_parser() -> argparse.ArgumentParser:
     profile = sub.add_parser(
         "profile",
         help="utilization + engine hot-path report for one collective")
-    profile.add_argument("machine", choices=["sp2", "t3d", "paragon"])
-    profile.add_argument("op")
-    profile.add_argument("--bytes", type=int, default=4096)
-    profile.add_argument("--nodes", type=int, default=16)
-    profile.add_argument("--iterations", type=int, default=1)
-    profile.add_argument("--seed", type=int, default=0)
+    _add_shared(profile, *_POINT, "--iterations", "--seed",
+                **_CAPTURE_POINT, run=_run_profile)
     profile.add_argument("--top", type=int, default=8,
                          help="links/process types to list")
     profile.add_argument("--csv", metavar="PATH",
@@ -184,6 +272,7 @@ def _build_parser() -> argparse.ArgumentParser:
                            "stacks (flamegraph.pl / speedscope input)")
     perf.add_argument("--top", type=_positive_int, default=10,
                       help="hot sites to list with --flame")
+    perf.set_defaults(run=_run_perf)
 
     sweep = sub.add_parser(
         "sweep",
@@ -197,25 +286,16 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="sim = discrete-event simulator, analytic "
                             "= closed-form cost model, model = the "
                             "paper's Table 3 expressions")
-    sweep.add_argument("--workers", type=_positive_int, default=1,
-                       help="worker processes for simulated cells")
+    _add_shared(sweep, "--workers")
     sweep.add_argument("--out", metavar="PATH",
                        default="BENCH_sweep.json",
                        help="artifact path (default BENCH_sweep.json)")
     sweep.add_argument("--csv", metavar="PATH",
                        help="also write the cells as CSV")
-    sweep.add_argument("--cache-dir", metavar="PATH",
-                       help="cache root (default $REPRO_SWEEP_CACHE or "
-                            "~/.cache/repro/sweep)")
-    sweep.add_argument("--no-cache", action="store_true",
-                       help="neither read nor write the result cache")
+    _add_shared(sweep, "--cache-dir", "--no-cache")
     sweep.add_argument("--clear-cache", action="store_true",
                        help="drop every cached cell before running")
-    sweep.add_argument("--iterations", type=_positive_int,
-                       default=QUICK_CONFIG.iterations)
-    sweep.add_argument("--runs", type=_positive_int,
-                       default=QUICK_CONFIG.runs)
-    sweep.add_argument("--seed", type=int, default=QUICK_CONFIG.seed)
+    _add_shared(sweep, "--iterations", "--runs", "--seed")
     sweep.add_argument("--machines", metavar="NAMES",
                        help="restrict the grid to these machines "
                             "(comma-separated, e.g. sp2,t3d)")
@@ -243,6 +323,7 @@ def _build_parser() -> argparse.ArgumentParser:
                             "it covers run the tuned algorithm instead "
                             "of the machine's fixed choice (sim mode "
                             "only)")
+    sweep.set_defaults(run=_run_sweep)
 
     tune = sub.add_parser(
         "tune",
@@ -258,38 +339,26 @@ def _build_parser() -> argparse.ArgumentParser:
                            "(comma-separated)")
     tune.add_argument("--grid", default="paper",
                       help="tuning grid preset (paper, smoke)")
-    tune.add_argument("--workers", type=_positive_int, default=1,
-                      help="worker processes for simulated cells")
+    _add_shared(tune, "--workers")
     tune.add_argument("--out", metavar="PATH",
                       default="BENCH_tuning.json",
                       help="artifact path (default BENCH_tuning.json)")
-    tune.add_argument("--cache-dir", metavar="PATH",
-                      help="cache root (default $REPRO_SWEEP_CACHE or "
-                           "~/.cache/repro/sweep)")
-    tune.add_argument("--no-cache", action="store_true",
-                      help="neither read nor write the result cache")
-    tune.add_argument("--iterations", type=_positive_int,
-                      default=QUICK_CONFIG.iterations)
-    tune.add_argument("--runs", type=_positive_int,
-                      default=QUICK_CONFIG.runs)
-    tune.add_argument("--seed", type=int, default=QUICK_CONFIG.seed)
+    _add_shared(tune, "--cache-dir", "--no-cache", "--iterations",
+                "--runs", "--seed")
     tune.add_argument("--top", type=_positive_int, default=10,
                       help="flipped cells to list (default 10)")
+    tune.set_defaults(run=_run_tune)
 
     chaos = sub.add_parser(
         "chaos",
         help="run one collective clean and under a fault-plan preset; "
              "report the latency penalty and injector counters")
-    chaos.add_argument("machine", choices=["sp2", "t3d", "paragon"])
-    chaos.add_argument("op")
     chaos.add_argument("--faults", default="single-link-outage",
                        metavar="PRESET",
                        help="fault-plan preset (default "
                             "single-link-outage)")
-    chaos.add_argument("--bytes", type=int, default=4096)
-    chaos.add_argument("--nodes", type=int, default=16)
-    chaos.add_argument("--iterations", type=_positive_int, default=1)
-    chaos.add_argument("--seed", type=int, default=0)
+    _add_shared(chaos, *_POINT, "--iterations", "--seed",
+                **_CAPTURE_POINT, run=_run_chaos)
     chaos.add_argument("--curves", action="store_true",
                        help="also print clean vs faulty T0(p) curves "
                             "over the bench node counts")
@@ -302,12 +371,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "critpath",
         help="trace one collective and print its causal critical "
              "path with per-component time attribution")
-    critpath.add_argument("machine", choices=["sp2", "t3d", "paragon"])
-    critpath.add_argument("op")
-    critpath.add_argument("--bytes", type=int, default=4096)
-    critpath.add_argument("--nodes", type=int, default=16)
-    critpath.add_argument("--iterations", type=_positive_int, default=1)
-    critpath.add_argument("--seed", type=int, default=0)
+    _add_shared(critpath, *_POINT, "--iterations", "--seed",
+                **_CAPTURE_POINT, run=_run_critpath)
     critpath.add_argument("--faults", metavar="PRESET",
                           help="run under a fault-plan preset so "
                                "recovery work (retransmits, backoff, "
@@ -345,6 +410,7 @@ def _build_parser() -> argparse.ArgumentParser:
                             "first (repeatable; default: the --out "
                             "path, or BENCH_drift.json, if it already "
                             "exists)")
+    audit.set_defaults(run=_run_audit)
 
     dash = sub.add_parser(
         "dash",
@@ -358,12 +424,8 @@ def _build_parser() -> argparse.ArgumentParser:
     dash.add_argument("--capture", metavar="MACHINE:OP",
                       help="also run one traced collective and embed "
                            "its hop-by-hop replay (e.g. t3d:broadcast)")
-    dash.add_argument("--bytes", type=int, default=4096,
-                      help="message size for --capture")
-    dash.add_argument("--nodes", type=int, default=16,
-                      help="node count for --capture")
-    dash.add_argument("--seed", type=int, default=0,
-                      help="seed for --capture")
+    _add_shared(dash, "--bytes", "--nodes", "--seed", capture=True,
+                **_CAPTURE_POINT, run=_run_dash)
     dash.add_argument("--faults", metavar="PRESET",
                       help="run the --capture collective under a "
                            "fault-plan preset so the replay shows "
@@ -388,6 +450,7 @@ def _build_parser() -> argparse.ArgumentParser:
                       help="relative tolerance (default 0: bitwise)")
     diff.add_argument("--atol", type=float, default=0.0,
                       help="absolute tolerance in us (default 0)")
+    diff.set_defaults(run=_run_diff)
     return parser
 
 
@@ -395,107 +458,126 @@ def _csv_names(text: Optional[str]) -> Optional[Tuple[str, ...]]:
     """Parse a ``--machines``/``--ops`` comma list (None = no filter)."""
     if text is None:
         return None
-    names = tuple(name.strip() for name in text.split(",")
-                  if name.strip())
-    return names
+    return tuple(name.strip() for name in text.split(",")
+                 if name.strip())
 
 
 def _filter_grid(grid, machines: Optional[Tuple[str, ...]],
-                 ops: Optional[Tuple[str, ...]]):
-    """Restrict a grid preset to the requested machines/collectives.
+                 ops: Optional[Tuple[str, ...]], kind: str = "grid"):
+    """Restrict a sweep or tuning grid to the requested machines/ops.
 
-    Raises ``ValueError`` when a filter names nothing in the grid or
-    empties it — an empty sweep is always a spelling mistake, not a
-    request.
+    Raises ``ValueError`` when a filter names something the ``kind``
+    of grid does not have.  Only sweep grids have machines and a
+    barrier panel.
     """
-    import dataclasses as _dataclasses
-    if machines is not None:
-        kept = tuple(m for m in grid.machines if m in machines)
-        unknown = sorted(set(machines) - set(grid.machines))
+    def kept(flag, names, known):
+        unknown = sorted(set(names) - set(known))
         if unknown:
             raise ValueError(
-                f"--machines {','.join(unknown)} not in grid "
-                f"{grid.name!r} (has {', '.join(grid.machines)})")
-        grid = _dataclasses.replace(grid, machines=kept)
-    if ops is not None:
-        known = grid.ops + (("barrier",) if grid.include_barrier
-                            else ())
-        unknown = sorted(set(ops) - set(known))
-        if unknown:
-            raise ValueError(
-                f"--ops {','.join(unknown)} not in grid "
+                f"{flag} {','.join(unknown)} not in {kind} "
                 f"{grid.name!r} (has {', '.join(known)})")
-        grid = _dataclasses.replace(
-            grid, ops=tuple(op for op in grid.ops if op in ops),
-            include_barrier=grid.include_barrier and "barrier" in ops)
-    if not grid.cells():
-        raise ValueError(f"grid {grid.name!r} is empty after "
-                         f"filtering; nothing to sweep")
-    return grid
+        return tuple(name for name in known if name in names)
+
+    changes = {}
+    if machines is not None:
+        changes["machines"] = kept("--machines", machines,
+                                   grid.machines)
+    if ops is not None:
+        barrier = getattr(grid, "include_barrier", False)
+        names = kept("--ops", ops,
+                     grid.ops + (("barrier",) if barrier else ()))
+        changes["ops"] = tuple(op for op in grid.ops if op in names)
+        if barrier:
+            changes["include_barrier"] = "barrier" in names
+    return dataclasses.replace(grid, **changes)
 
 
-def _apply_decision_table(cells, path):
-    """Materialize a decision table into per-cell algorithm overrides.
-
-    Overrides are placed on the cells themselves — not smuggled in via
-    modified machine specs — so cache fingerprints see exactly which
-    algorithm ran and tuned cells never collide with fixed-choice
-    results.  Cells the table resolves to the machine's own default
-    stay untouched (and keep their existing cache entries).
-    """
-    import dataclasses as _dataclasses
-
-    from .machines import get_machine_spec
-    from .tuner import load_decision_table
-
-    table = load_decision_table(path)
-    specs = {}
-    out = []
-    for cell in cells:
-        spec = specs.get(cell.machine)
-        if spec is None:
-            spec = specs[cell.machine] = get_machine_spec(cell.machine)
-        choice = table.lookup(cell.machine, cell.op, cell.nbytes,
-                              cell.p)
-        if choice and choice != spec.algorithms.get(cell.op):
-            cell = _dataclasses.replace(cell, algorithm=choice)
-        out.append(cell)
-    return tuple(out)
+def _run_figure(args) -> None:
+    from .bench import plot_figure, write_figure_csv, write_figure_json
+    data = _FIGURES[args.number]()
+    print(data.format())
+    if args.plot:
+        print()
+        print(plot_figure(data))
+    if args.csv:
+        print(f"wrote {write_figure_csv(data, args.csv)}")
+    if args.json:
+        print(f"wrote {write_figure_json(data, args.json)}")
 
 
-def _run_tune_command(args) -> int:
-    from .core import MeasurementConfig
+def _run_measure(args) -> None:
+    sample = measure_collective(args.machine, args.op, args.bytes,
+                                args.nodes, _protocol(args))
+    print(f"T({args.bytes} B, {args.nodes} nodes) on "
+          f"{args.machine} {args.op}: {format_us(sample.time_us)}")
+    print(f"  per-process min/mean/max: "
+          f"{format_us(sample.process_min_us)} / "
+          f"{format_us(sample.process_mean_us)} / "
+          f"{format_us(sample.process_max_us)}")
+    print(f"  runs: {[round(t, 1) for t in sample.run_times_us]}")
+
+
+def _run_sensitivity(args) -> None:
+    from .core import format_sensitivities, scan_sensitivities
+    results = scan_sensitivities(get_machine_spec(args.machine),
+                                 args.op, args.bytes, args.nodes)
+    print(format_sensitivities(results, top=args.top))
+
+
+def _run_app(args) -> None:
+    from .apps import simulate_fft2d, simulate_samplesort, simulate_stap
+    runner = {"stap": simulate_stap, "fft2d": simulate_fft2d,
+              "samplesort": simulate_samplesort}[args.name]
+    print(runner(args.machine, args.nodes).format())
+
+
+def _run_trace(args) -> None:
+    from .obs import write_chrome_trace, write_spans_csv
+    capture = _capture(args, max_spans=args.max_spans)
+    print(capture.summary())
+    if args.out:
+        print(f"wrote {write_chrome_trace(capture.tracer, args.out)}"
+              f" (open in ui.perfetto.dev)")
+    if args.csv:
+        print(f"wrote {write_spans_csv(capture.tracer, args.csv)}")
+
+
+def _run_profile(args) -> None:
+    from .obs import (
+        format_utilization_report,
+        write_folded_stacks,
+        write_profile_csv,
+    )
+    capture = _capture(args, trace=False, profile=True, work=args.work)
+    print(capture.summary())
+    print()
+    print(format_utilization_report(capture.world.machine,
+                                    capture.elapsed_us, top=args.top))
+    print()
+    print(capture.profiler.format_report(top=args.top))
+    if args.work:
+        print()
+        print(capture.work.format_report())
+    print()
+    print(capture.metrics.format_report())
+    if args.csv:
+        print(f"wrote {write_profile_csv(capture.profiler, args.csv)}")
+    if args.folded:
+        print(f"wrote {write_folded_stacks(capture.profiler, args.folded)}")
+
+
+def _run_tune(args) -> int:
     from .tuner import run_tune, tune_grid, write_tuning
-    try:
-        grid = tune_grid(args.grid)
-        ops = _csv_names(args.ops)
-        if ops is not None:
-            import dataclasses as _dataclasses
-            unknown = sorted(set(ops) - set(grid.ops))
-            if unknown:
-                raise ValueError(
-                    f"--ops {','.join(unknown)} not in tuning grid "
-                    f"{grid.name!r} (has {', '.join(grid.ops)})")
-            grid = _dataclasses.replace(
-                grid, ops=tuple(op for op in grid.ops if op in ops))
+    with _usage(KeyError, ValueError):
+        grid = _filter_grid(tune_grid(args.grid), None,
+                            _csv_names(args.ops), kind="tuning grid")
         machines = _csv_names(args.machines) or ()
         if not machines:
             raise ValueError("--machines names no machines")
-    except (KeyError, ValueError) as error:
-        print(error.args[0], file=sys.stderr)
-        return 2
-    measurement = MeasurementConfig(
-        iterations=args.iterations,
-        warmup_iterations=QUICK_CONFIG.warmup_iterations,
-        runs=args.runs, seed=args.seed)
-    try:
-        result = run_tune(machines, grid, config=measurement,
+        result = run_tune(machines, grid, config=_protocol(args),
                           workers=args.workers,
                           cache_dir=args.cache_dir,
                           use_cache=not args.no_cache)
-    except (KeyError, ValueError) as error:
-        print(error.args[0], file=sys.stderr)
-        return 2
     print(f"tune {grid.name} (machines={','.join(sorted(set(machines)))}, "
           f"workers={args.workers}): {result.summary()}")
     for cell, reason in sorted(result.quarantined.items()):
@@ -510,66 +592,52 @@ def _run_tune_command(args) -> int:
     return 1 if result.quarantined else 0
 
 
-def _run_sweep_command(args) -> int:
+def _run_sweep(args) -> int:
     from .bench import write_sweep_csv
-    from .core import MeasurementConfig
-    from .faults import fault_preset
     from .runner import (
         ResultCache,
         SweepConfig,
         build_artifact,
+        default_cache_dir,
         preset_grid,
         run_sweep,
         write_artifact,
     )
-    try:
-        grid = preset_grid(args.grid)
-        grid = _filter_grid(grid, _csv_names(args.machines),
+    with _usage(KeyError, ValueError):
+        grid = _filter_grid(preset_grid(args.grid),
+                            _csv_names(args.machines),
                             _csv_names(args.ops))
-        faults = None
-        if args.faults and args.faults != "none":
-            faults = fault_preset(args.faults)
-    except (KeyError, ValueError) as error:
-        print(error.args[0], file=sys.stderr)
-        return 2
-    measurement = MeasurementConfig(
-        iterations=args.iterations,
-        warmup_iterations=QUICK_CONFIG.warmup_iterations,
-        runs=args.runs, seed=args.seed, faults=faults)
-    if args.breakdown and args.mode != "sim":
-        print("--breakdown requires --mode sim (closed forms have no "
-              "trace to analyse)", file=sys.stderr)
-        return 2
     cells = grid.cells()
+    if not cells:
+        # An empty sweep is always a spelling mistake, not a request.
+        raise _UsageError(f"grid {grid.name!r} is empty after "
+                          f"filtering; nothing to sweep")
+    measurement = _protocol(args, _fault_plan(args.faults))
+    if args.breakdown and args.mode != "sim":
+        raise _UsageError("--breakdown requires --mode sim (closed "
+                          "forms have no trace to analyse)")
     if args.decision_table:
         if args.mode != "sim":
-            print("--decision-table requires --mode sim (closed forms "
-                  "are keyed to the machines' fixed algorithms)",
-                  file=sys.stderr)
-            return 2
-        try:
-            cells = _apply_decision_table(cells, args.decision_table)
-        except (OSError, ValueError) as error:
-            print(error.args[0], file=sys.stderr)
-            return 2
+            raise _UsageError("--decision-table requires --mode sim "
+                              "(closed forms are keyed to the machines' "
+                              "fixed algorithms)")
+        from .tuner import load_decision_table
+        with _usage(OSError, ValueError):
+            table = load_decision_table(args.decision_table)
+        cells = table.override_cells(cells)
     config = SweepConfig(mode=args.mode, workers=args.workers,
                          measurement=measurement,
                          cache_dir=args.cache_dir,
                          use_cache=not args.no_cache,
                          cell_timeout_s=args.cell_timeout,
                          breakdown=args.breakdown)
-    cache = ResultCache(args.cache_dir) if args.cache_dir \
-        else ResultCache()
-    cache.enabled = config.use_cache
     if args.clear_cache:
+        cache = ResultCache(args.cache_dir or default_cache_dir())
         print(f"cleared {cache.clear()} cached cells")
-    try:
-        result = run_sweep(cells, config, cache)
-    except ValueError as error:
-        # An invalid per-cell algorithm override (e.g. a stale or
-        # hand-edited decision table) is a usage error, not a crash.
-        print(error.args[0], file=sys.stderr)
-        return 2
+    # An invalid per-cell algorithm override (e.g. a stale or
+    # hand-edited decision table) is a usage error, not a crash.
+    with _usage(ValueError):
+        result = run_sweep(cells, config)
     print(f"sweep {grid.name} (mode={config.mode}, "
           f"workers={config.workers}): {result.summary()}")
     for cell, reason in sorted(result.quarantined.items()):
@@ -581,69 +649,35 @@ def _run_sweep_command(args) -> int:
     return 1 if result.quarantined else 0
 
 
-def _run_chaos_command(args) -> int:
-    import json
-
+def _run_chaos(args) -> None:
     from .bench import degradation_curves, run_chaos
-    from .faults import fault_preset
-    try:
-        plan = fault_preset(args.faults)
-    except KeyError as error:
-        print(error.args[0], file=sys.stderr)
-        return 2
+    from .canonical import write_canonical
+    # Chaos always runs a plan; "none" is the fault-free control.
+    plan = _fault_plan(args.faults) or FAULT_FREE
     run = run_chaos(args.machine, args.op, plan,
                     nbytes=args.bytes, num_nodes=args.nodes,
                     iterations=args.iterations, seed=args.seed,
                     metrics=args.out is not None)
     print(run.format())
     if args.out:
-        document = {
-            "machine": run.machine,
-            "op": run.op,
-            "plan": plan.name,
-            "nbytes": run.nbytes,
-            "nodes": run.num_nodes,
-            "iterations": run.iterations,
-            "seed": run.seed,
-            "clean_us": run.clean_us,
-            "faulty_us": run.faulty_us,
-            "penalty_us": run.penalty_us,
-            "counters": run.counters,
-            "metrics": run.metrics_snapshot,
-        }
-        with open(args.out, "w", encoding="utf-8") as handle:
-            json.dump(document, handle, indent=2, sort_keys=True)
-            handle.write("\n")
+        write_canonical(run.document(), args.out)
         print(f"wrote {args.out}")
     if args.curves:
         print()
         print(degradation_curves(args.machine, args.op, plan).format())
-    return 0
 
 
-def _run_critpath_command(args) -> int:
-    from .obs.capture import capture_collective
+def _run_critpath(args) -> None:
     from .obs.critpath import write_critpath_csv
-    faults = None
-    if args.faults and args.faults != "none":
-        from .faults import fault_preset
-        try:
-            faults = fault_preset(args.faults)
-        except KeyError as error:
-            print(error.args[0], file=sys.stderr)
-            return 2
-    capture = capture_collective(
-        args.machine, args.op, nbytes=args.bytes,
-        num_nodes=args.nodes, iterations=args.iterations,
-        seed=args.seed, metrics=False, faults=faults)
+    capture = _capture(args, metrics=False,
+                       faults=_fault_plan(args.faults))
     path = capture.critical_path()
     print(path.format(top=args.steps))
     if args.csv:
         print(f"wrote {write_critpath_csv(path, args.csv)}")
-    return 0
 
 
-def _run_perf_command(args) -> int:
+def _run_perf(args) -> int:
     from .bench.perfsuite import (
         DEFAULT_MIN_RATIO,
         build_perf_artifact,
@@ -652,10 +686,8 @@ def _run_perf_command(args) -> int:
         run_perf_suite,
         write_perf_artifact,
     )
-    profiler = None
-    if args.flame:
-        from .obs import EngineProfiler
-        profiler = EngineProfiler()
+    from .obs import EngineProfiler, write_folded_stacks
+    profiler = EngineProfiler() if args.flame else None
     runs = run_perf_suite(args.suite, profiler=profiler)
     artifact = build_perf_artifact(runs, suite=args.suite)
     total = artifact["throughput"]["total"]
@@ -667,29 +699,23 @@ def _run_perf_command(args) -> int:
               f"events={run.work['events_fired']:<9d} "
               f"wall={run.wall_s * 1e3:9.1f} ms")
     if profiler is not None:
-        from .obs import write_folded_stacks
         print()
         print(profiler.format_report(top=args.top))
         print(f"wrote {write_folded_stacks(profiler, args.flame)}")
     if args.out:
         print(f"wrote {write_perf_artifact(artifact, args.out)}")
-    if args.check:
-        try:
-            baseline = load_perf_artifact(args.check)
-        except (OSError, ValueError) as error:
-            print(error, file=sys.stderr)
-            return 2
-        min_ratio = args.min_ratio if args.min_ratio is not None \
-            else DEFAULT_MIN_RATIO
-        result = check_perf_artifact(artifact, baseline,
-                                     min_ratio=min_ratio)
-        print()
-        print(result.format())
-        return 0 if result.passed() else 1
-    return 0
+    if not args.check:
+        return 0
+    with _usage(OSError, ValueError):
+        baseline = load_perf_artifact(args.check)
+    result = check_perf_artifact(
+        artifact, baseline, min_ratio=args.min_ratio or DEFAULT_MIN_RATIO)
+    print()
+    print(result.format())
+    return 0 if result.passed() else 1
 
 
-def _run_audit_command(args) -> int:
+def _run_audit(args) -> int:
     from pathlib import Path
 
     from .obs.drift import (
@@ -701,11 +727,8 @@ def _run_audit_command(args) -> int:
         write_drift_artifact,
     )
     from .runner import load_artifact
-    try:
+    with _usage(OSError, ValueError):
         artifact = load_artifact(args.artifact)
-    except (OSError, ValueError) as error:
-        print(error, file=sys.stderr)
-        return 2
     report = audit_artifact(artifact,
                             DriftTolerance(max_rel_error=args.rtol))
     print(report.format(top=args.top))
@@ -716,12 +739,9 @@ def _run_audit_command(args) -> int:
         if history is None:
             default = Path(args.out or "BENCH_drift.json")
             history = [str(default)] if default.is_file() else []
-        try:
+        with _usage(OSError, ValueError):
             generations = [load_drift_artifact(path)
                            for path in history]
-        except (OSError, ValueError) as error:
-            print(error, file=sys.stderr)
-            return 2
         generations.append(payload)
         print()
         print(format_drift_trend(generations))
@@ -730,46 +750,29 @@ def _run_audit_command(args) -> int:
     return 0 if report.passed() else 1
 
 
-def _run_dash_command(args) -> int:
+def _run_dash(args) -> None:
     from pathlib import Path
 
     from .dash import write_dashboard
-    from .obs.ledger import (
-        build_ledger,
-        discover_artifacts,
-        write_ledger,
-    )
+    from .obs.capture import write_replay_frames
+    from .obs.ledger import build_ledger, discover_artifacts, write_ledger
     out_dir = Path(args.out)
-    try:
+    with _usage(ValueError):
         entries = discover_artifacts(args.artifacts or ["."],
                                      exclude=[out_dir])
-    except ValueError as error:
-        print(error.args[0], file=sys.stderr)
-        return 2
     out_dir.mkdir(parents=True, exist_ok=True)
     if args.capture:
-        machine, _, op = args.capture.partition(":")
-        if machine not in ("sp2", "t3d", "paragon") or not op:
-            print(f"--capture wants MACHINE:OP with machine one of "
-                  f"sp2/t3d/paragon, got {args.capture!r}",
-                  file=sys.stderr)
-            return 2
-        faults = None
-        if args.faults and args.faults != "none":
-            from .faults import fault_preset
-            try:
-                faults = fault_preset(args.faults)
-            except KeyError as error:
-                print(error.args[0], file=sys.stderr)
-                return 2
-        from .obs.capture import capture_collective, \
-            write_replay_frames
-        capture = capture_collective(
-            machine, op, nbytes=args.bytes, num_nodes=args.nodes,
-            seed=args.seed, faults=faults)
+        args.machine, _, args.op = args.capture.partition(":")
+        if args.machine not in _MACHINES or \
+                args.op not in COLLECTIVE_OPS:
+            raise _UsageError(f"--capture wants MACHINE:OP with machine "
+                              f"one of sp2/t3d/paragon, got "
+                              f"{args.capture!r}")
+        _check_nodes(args.machine, args.nodes)
+        capture = _capture(args, faults=_fault_plan(args.faults))
         print(capture.summary())
         replay = capture.to_replay_frames()
-        name = f"replay_{machine}_{op}.json"
+        name = f"replay_{args.machine}_{args.op}.json"
         print(f"wrote {write_replay_frames(replay, out_dir / name)}")
         entries.append((name, "replay", replay))
     ledger = build_ledger(entries)
@@ -784,14 +787,15 @@ def _run_dash_command(args) -> int:
     if args.open:
         import webbrowser
         webbrowser.open(page.resolve().as_uri())
-    return 0
 
 
-def _run_diff_command(args) -> int:
+def _run_diff(args) -> int:
     from .runner import diff_artifacts, load_artifact
-    diff = diff_artifacts(load_artifact(args.baseline),
-                          load_artifact(args.current),
-                          rtol=args.rtol, atol=args.atol)
+    with _usage(OSError, ValueError):
+        baseline = load_artifact(args.baseline)
+        current = load_artifact(args.current)
+    diff = diff_artifacts(baseline, current, rtol=args.rtol,
+                          atol=args.atol)
     print(diff.format())
     return 0 if diff.clean() else 1
 
@@ -801,113 +805,17 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.fast:
         os.environ["REPRO_BENCH_FAST"] = "1"
     try:
-        return _dispatch(args)
+        if "machine" in args:
+            _check_nodes(args.machine, args.nodes)
+        return args.run(args) or 0
+    except _UsageError as error:
+        print(error, file=sys.stderr)
+        return 2
     except KeyboardInterrupt:
         # The sweep pool's context manager has already terminated its
         # workers by the time the interrupt propagates here.
         print("interrupted", file=sys.stderr)
         return 130
-
-
-def _dispatch(args) -> int:
-    if args.command == "figure":
-        data = _FIGURES[args.number]()
-        print(data.format())
-        if args.plot:
-            from .bench import plot_figure
-            print()
-            print(plot_figure(data))
-        if args.csv:
-            from .bench import write_figure_csv
-            print(f"wrote {write_figure_csv(data, args.csv)}")
-        if args.json:
-            from .bench import write_figure_json
-            print(f"wrote {write_figure_json(data, args.json)}")
-    elif args.command == "table3":
-        print(format_table3(table3()))
-    elif args.command == "headline":
-        print(format_headline(headline_checks()))
-    elif args.command == "measure":
-        config = MeasurementConfig(iterations=args.iterations,
-                                   warmup_iterations=1, runs=args.runs,
-                                   seed=args.seed)
-        sample = measure_collective(args.machine, args.op, args.bytes,
-                                    args.nodes, config)
-        print(f"T({args.bytes} B, {args.nodes} nodes) on "
-              f"{args.machine} {args.op}: {format_us(sample.time_us)}")
-        print(f"  per-process min/mean/max: "
-              f"{format_us(sample.process_min_us)} / "
-              f"{format_us(sample.process_mean_us)} / "
-              f"{format_us(sample.process_max_us)}")
-        print(f"  runs: {[round(t, 1) for t in sample.run_times_us]}")
-    elif args.command == "sensitivity":
-        from .core import format_sensitivities, scan_sensitivities
-        from .machines import get_machine_spec
-        results = scan_sensitivities(get_machine_spec(args.machine),
-                                     args.op, args.bytes, args.nodes)
-        print(format_sensitivities(results, top=args.top))
-    elif args.command == "app":
-        from .apps import simulate_fft2d, simulate_samplesort, \
-            simulate_stap
-        runner = {"stap": simulate_stap, "fft2d": simulate_fft2d,
-                  "samplesort": simulate_samplesort}[args.name]
-        print(runner(args.machine, args.nodes).format())
-    elif args.command == "trace":
-        from .obs import write_chrome_trace, write_spans_csv
-        from .obs.capture import capture_collective
-        capture = capture_collective(
-            args.machine, args.op, nbytes=args.bytes,
-            num_nodes=args.nodes, iterations=args.iterations,
-            seed=args.seed, max_spans=args.max_spans)
-        print(capture.summary())
-        if args.out:
-            print(f"wrote {write_chrome_trace(capture.tracer, args.out)}"
-                  f" (open in ui.perfetto.dev)")
-        if args.csv:
-            print(f"wrote {write_spans_csv(capture.tracer, args.csv)}")
-    elif args.command == "profile":
-        from .obs import format_utilization_report
-        from .obs.capture import capture_collective
-        capture = capture_collective(
-            args.machine, args.op, nbytes=args.bytes,
-            num_nodes=args.nodes, iterations=args.iterations,
-            seed=args.seed, trace=False, profile=True,
-            work=args.work)
-        print(capture.summary())
-        print()
-        print(format_utilization_report(capture.world.machine,
-                                        capture.elapsed_us,
-                                        top=args.top))
-        print()
-        print(capture.profiler.format_report(top=args.top))
-        if args.work:
-            print()
-            print(capture.work.format_report())
-        print()
-        print(capture.metrics.format_report())
-        if args.csv:
-            from .obs import write_profile_csv
-            print(f"wrote {write_profile_csv(capture.profiler, args.csv)}")
-        if args.folded:
-            from .obs import write_folded_stacks
-            print(f"wrote {write_folded_stacks(capture.profiler, args.folded)}")
-    elif args.command == "perf":
-        return _run_perf_command(args)
-    elif args.command == "sweep":
-        return _run_sweep_command(args)
-    elif args.command == "tune":
-        return _run_tune_command(args)
-    elif args.command == "chaos":
-        return _run_chaos_command(args)
-    elif args.command == "critpath":
-        return _run_critpath_command(args)
-    elif args.command == "audit":
-        return _run_audit_command(args)
-    elif args.command == "dash":
-        return _run_dash_command(args)
-    elif args.command == "diff":
-        return _run_diff_command(args)
-    return 0
 
 
 if __name__ == "__main__":  # pragma: no cover

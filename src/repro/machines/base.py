@@ -234,6 +234,13 @@ class MachineSpec:
         object.__setattr__(clone, "_decision_table", table)
         return clone
 
+    def check_nodes(self, num_nodes: int) -> None:
+        """Raise ``ValueError`` unless this machine has ``num_nodes``
+        (2..``max_nodes``, its historical installation size)."""
+        if not 2 <= num_nodes <= self.max_nodes:
+            raise ValueError(f"{self.name} supports 2..{self.max_nodes} "
+                             f"nodes, got {num_nodes}")
+
     def uses_dma_for(self, op: str) -> bool:
         """Whether payload moves of ``op`` may use the DMA engine."""
         return self.dma is not None and op in self.dma_collectives
@@ -249,10 +256,7 @@ class Machine:
                  metrics: Optional[MetricsRegistry] = None,
                  faults: Optional[FaultPlan] = None,
                  fast_wire: bool = True):
-        if not 2 <= num_nodes <= spec.max_nodes:
-            raise ValueError(
-                f"{spec.name} supports 2..{spec.max_nodes} nodes, "
-                f"got {num_nodes}")
+        spec.check_nodes(num_nodes)
         self.env = env
         self.spec = spec
         self.num_nodes = num_nodes

@@ -12,12 +12,12 @@ importable from the lower layers it instruments.
 from __future__ import annotations
 
 import ast
-import json
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple, Union
 
 from ..canonical import dumps_canonical as dumps_replay_frames
+from ..canonical import load_canonical, write_canonical
 from ..sim import Tracer
 from .metrics import MetricsRegistry
 from .perf import WorkMeter
@@ -249,18 +249,9 @@ def capture_collective(machine: str, op: str, nbytes: int = 1024,
 def write_replay_frames(document: Dict[str, Any],
                         path: PathLike) -> Path:
     """Write a replay document canonically; returns the path."""
-    path = Path(path)
-    path.write_text(dumps_replay_frames(document), "utf-8")
-    return path
+    return write_canonical(document, path)
 
 
 def load_replay_frames(path: PathLike) -> Dict[str, Any]:
     """Load and schema-check a replay document."""
-    path = Path(path)
-    payload = json.loads(path.read_text("utf-8"))
-    schema = payload.get("schema")
-    if schema != REPLAY_SCHEMA:
-        raise ValueError(f"{path} is not a replay document "
-                         f"(schema {schema!r}, expected "
-                         f"{REPLAY_SCHEMA!r})")
-    return payload
+    return load_canonical(path, REPLAY_SCHEMA, "a replay document")

@@ -19,12 +19,13 @@ re-exported from ``repro.obs``; import it explicitly::
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Mapping, Optional, Tuple, Union
 
 from ..canonical import dumps_canonical as dumps_drift_artifact
+from ..canonical import load_canonical
+from ..canonical import write_canonical as write_drift_artifact
 from ..core.paper_model import PAPER_TABLE3
 
 __all__ = [
@@ -264,13 +265,6 @@ def build_drift_artifact(report: DriftReport,
     }
 
 
-def write_drift_artifact(payload: Mapping[str, Any],
-                         path: PathLike) -> Path:
-    path = Path(path)
-    path.write_text(dumps_drift_artifact(payload), "utf-8")
-    return path
-
-
 def format_drift_trend(generations: List[Mapping[str, Any]]) -> str:
     """Terminal sparkline view of drift history.
 
@@ -315,11 +309,5 @@ def format_drift_trend(generations: List[Mapping[str, Any]]) -> str:
 
 
 def load_drift_artifact(path: PathLike) -> Dict[str, Any]:
-    path = Path(path)
-    payload = json.loads(path.read_text("utf-8"))
-    schema = payload.get("schema")
-    if schema != DRIFT_SCHEMA:
-        raise ValueError(f"{path} is not a drift artifact "
-                         f"(schema {schema!r}, expected "
-                         f"{DRIFT_SCHEMA!r})")
-    return payload
+    """Load and schema-check a drift artifact."""
+    return load_canonical(path, DRIFT_SCHEMA, "a drift artifact")

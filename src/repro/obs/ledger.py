@@ -35,8 +35,13 @@ from pathlib import Path
 from typing import (Any, Dict, Iterable, List, Mapping, Optional,
                     Sequence, Tuple, Union)
 
+from ..bench.perfsuite import PERF_SCHEMA
 from ..canonical import dumps_canonical as dumps_ledger
-from ..runner.artifact import scrub_volatile
+from ..canonical import write_canonical as write_ledger
+from ..runner.artifact import ARTIFACT_SCHEMA, scrub_volatile
+from ..tuner.table import TUNING_SCHEMA
+from .capture import REPLAY_SCHEMA
+from .drift import DRIFT_SCHEMA
 
 __all__ = [
     "LEDGER_SCHEMA",
@@ -60,11 +65,11 @@ LEDGER_SCHEMA = "repro-ledger/1"
 #: Family name -> the ``schema`` tag its documents carry (``None`` for
 #: the schema-less families recognised by shape).
 ARTIFACT_FAMILIES: Mapping[str, Optional[str]] = {
-    "sweep": "repro-sweep/1",
-    "tuning": "repro-tuning/1",
-    "drift": "repro-drift/1",
-    "engine-perf": "repro-engine-perf/1",
-    "replay": "repro-replay/1",
+    "sweep": ARTIFACT_SCHEMA,
+    "tuning": TUNING_SCHEMA,
+    "drift": DRIFT_SCHEMA,
+    "engine-perf": PERF_SCHEMA,
+    "replay": REPLAY_SCHEMA,
     "chaos": None,
     "trace": None,
 }
@@ -379,12 +384,6 @@ def validate_ledger(payload: Mapping[str, Any]) -> None:
     if payload.get("bundle_digest") != expected:
         raise ValueError("bundle_digest does not match the indexed "
                          "entries")
-
-
-def write_ledger(payload: Mapping[str, Any], path: PathLike) -> Path:
-    path = Path(path)
-    path.write_text(dumps_ledger(payload), "utf-8")
-    return path
 
 
 def load_ledger(path: PathLike) -> Dict[str, Any]:

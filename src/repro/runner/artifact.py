@@ -11,12 +11,13 @@ That property is what makes the checked-in golden baseline and the
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple, Union
 
 from ..canonical import dumps_canonical as dumps_artifact
+from ..canonical import load_canonical
+from ..canonical import write_canonical as write_artifact
 from ..bench.compare import values_match
 from ..sim import SIM_VERSION
 from .fingerprint import to_jsonable
@@ -106,21 +107,9 @@ def build_artifact(result: SweepResult, grid_name: str,
     return payload
 
 
-def write_artifact(payload: Dict[str, object], path: PathLike) -> Path:
-    path = Path(path)
-    path.write_text(dumps_artifact(payload), "utf-8")
-    return path
-
-
 def load_artifact(path: PathLike) -> Dict[str, object]:
-    path = Path(path)
-    payload = json.loads(path.read_text("utf-8"))
-    schema = payload.get("schema")
-    if schema != ARTIFACT_SCHEMA:
-        raise ValueError(f"{path} is not a sweep artifact "
-                         f"(schema {schema!r}, expected "
-                         f"{ARTIFACT_SCHEMA!r})")
-    return payload
+    """Load and schema-check a sweep artifact."""
+    return load_canonical(path, ARTIFACT_SCHEMA, "a sweep artifact")
 
 
 def _index(payload: Dict[str, object]) -> Dict[CellKey, Dict[str, object]]:

@@ -132,44 +132,34 @@ def _cell_breakdown(cell: SweepCell,
 def evaluate_cell(cell: SweepCell, config: Optional[MeasurementConfig],
                   mode: str = "sim",
                   breakdown: bool = False) -> Dict[str, float]:
-    """Evaluate one cell from scratch (no cache involved)."""
-    if mode == "sim":
-        machine: object = cell.machine
-        if cell.algorithm:
-            # Per-cell override: race this algorithm instead of the
-            # machine's fixed choice (the tuner's candidate sweeps).
-            spec = get_machine_spec(cell.machine)
-            machine = dataclasses.replace(
-                spec, algorithms={**dict(spec.algorithms),
-                                  cell.op: cell.algorithm})
-        sample = measure_collective(machine, cell.op, cell.nbytes,
-                                    cell.p, config or QUICK_CONFIG)
-        result = {
-            "time_us": sample.time_us,
-            "run_times_us": list(sample.run_times_us),
-            "process_min_us": sample.process_min_us,
-            "process_mean_us": sample.process_mean_us,
-            "process_max_us": sample.process_max_us,
-        }
-        if breakdown:
-            result["breakdown"] = _cell_breakdown(
-                cell, config or QUICK_CONFIG)
-        return result
+    """Simulate one cell from scratch (no cache involved).
+
+    Only ``sim`` mode evaluates cell by cell; :func:`run_sweep` sends
+    the closed-form modes through :func:`_evaluate_batched`.
+    """
+    if mode != "sim":
+        raise ValueError(f"evaluate_cell simulates; mode {mode!r} cells "
+                         f"are evaluated in batches by run_sweep")
+    machine: object = cell.machine
     if cell.algorithm:
-        raise ValueError(
-            f"mode {mode!r} uses closed forms keyed to the machines' "
-            f"fixed algorithms and cannot honour the per-cell override "
-            f"{cell.algorithm!r}; use mode='sim'")
-    if mode == "analytic":
+        # Per-cell override: race this algorithm instead of the
+        # machine's fixed choice (the tuner's candidate sweeps).
         spec = get_machine_spec(cell.machine)
-        model = AnalyticModel(spec)
-        return {"time_us": float(
-            model.predict_batch(cell.op, (cell.nbytes,), cell.p)[0])}
-    if mode == "model":
-        expr = paper_expression(cell.machine, cell.op)
-        return {"time_us": float(
-            expr.evaluate_grid((cell.nbytes,), (cell.p,))[0, 0])}
-    raise ValueError(f"unknown sweep mode {mode!r}")
+        machine = dataclasses.replace(
+            spec, algorithms={**dict(spec.algorithms),
+                              cell.op: cell.algorithm})
+    sample = measure_collective(machine, cell.op, cell.nbytes,
+                                cell.p, config or QUICK_CONFIG)
+    result = {
+        "time_us": sample.time_us,
+        "run_times_us": list(sample.run_times_us),
+        "process_min_us": sample.process_min_us,
+        "process_mean_us": sample.process_mean_us,
+        "process_max_us": sample.process_max_us,
+    }
+    if breakdown:
+        result["breakdown"] = _cell_breakdown(cell, config or QUICK_CONFIG)
+    return result
 
 
 def _rebuild_config(config_kwargs: Dict[str, object]

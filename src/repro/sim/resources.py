@@ -6,8 +6,10 @@ Two primitives cover everything the network and node models need:
   Network links, NIC injection ports, and DMA engines are capacity-1
   resources; a holder models occupancy by holding the grant for the
   transfer duration.
-* :class:`Store` — an unbounded FIFO of items with blocking ``get``.
-  Message queues between NICs and the MPI matching layer are stores.
+* :class:`Store` — an unbounded FIFO of items with blocking ``get``,
+  for processes that hand items to each other.  The MPI transport does
+  not use it: its posted-receive and unexpected-message queues are
+  plain lists.
 
 Occupancy fast path
 -------------------

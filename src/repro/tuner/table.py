@@ -13,12 +13,14 @@ artifact in the repo.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import (Any, Dict, List, Mapping, Optional, Sequence, Tuple,
+                    Union)
 
 from ..canonical import dumps_canonical as dumps_tuning
+from ..canonical import load_canonical
+from ..canonical import write_canonical as write_tuning
 from ..sim import SIM_VERSION
 
 __all__ = ["TUNING_SCHEMA", "DecisionRule", "DecisionEntry",
@@ -89,6 +91,29 @@ class DecisionTable:
             if entry.min_p <= p:
                 chosen = entry
         return chosen.rule_for(nbytes).algorithm
+
+    def override_cells(self, cells: Sequence[Any]) -> Tuple[Any, ...]:
+        """Sweep ``cells`` with the table's choices as per-cell
+        algorithm overrides.
+
+        Overrides are placed on the cells themselves — not smuggled in
+        via modified machine specs — so cache fingerprints see exactly
+        which algorithm ran and tuned cells never collide with
+        fixed-choice results.  Cells the table resolves to the
+        machine's own default stay untouched (and keep their existing
+        cache entries).
+        """
+        from ..machines import get_machine_spec
+
+        out = []
+        for cell in cells:
+            choice = self.lookup(cell.machine, cell.op, cell.nbytes,
+                                 cell.p)
+            spec = get_machine_spec(cell.machine)
+            if choice and choice != spec.algorithms.get(cell.op):
+                cell = replace(cell, algorithm=choice)
+            out.append(cell)
+        return tuple(out)
 
     def algorithms_used(self) -> Tuple[str, ...]:
         """Every algorithm any rule selects, sorted."""
@@ -185,22 +210,9 @@ def build_tuning_artifact(table: DecisionTable,
     return payload
 
 
-def write_tuning(payload: Dict[str, object], path: PathLike) -> Path:
-    path = Path(path)
-    path.write_text(dumps_tuning(payload), "utf-8")
-    return path
-
-
 def load_tuning(path: PathLike) -> Dict[str, object]:
     """Load and schema-check a ``BENCH_tuning.json`` document."""
-    path = Path(path)
-    payload = json.loads(path.read_text("utf-8"))
-    schema = payload.get("schema")
-    if schema != TUNING_SCHEMA:
-        raise ValueError(f"{path} is not a tuning artifact "
-                         f"(schema {schema!r}, expected "
-                         f"{TUNING_SCHEMA!r})")
-    return payload
+    return load_canonical(path, TUNING_SCHEMA, "a tuning artifact")
 
 
 def load_decision_table(path: PathLike) -> DecisionTable:

@@ -24,6 +24,12 @@ def _smoke_artifact():
     return build_perf_artifact(run_perf_suite("smoke"), suite="smoke")
 
 
+@pytest.fixture
+def smoke_artifact(smoke_perf_runs):
+    """A fresh artifact document built from the session's shared run."""
+    return build_perf_artifact(list(smoke_perf_runs), suite="smoke")
+
+
 def test_workload_names_per_suite():
     smoke = perf_workload_names("smoke")
     default = perf_workload_names("default")
@@ -53,8 +59,8 @@ def test_run_workload_returns_work_and_clock():
     assert run.events_per_sec > 0
 
 
-def test_artifact_roundtrip_and_schema_gate(tmp_path):
-    artifact = _smoke_artifact()
+def test_artifact_roundtrip_and_schema_gate(tmp_path, smoke_artifact):
+    artifact = smoke_artifact
     assert artifact["schema"] == PERF_SCHEMA
     path = tmp_path / "BENCH_engine.json"
     write_perf_artifact(artifact, path)
@@ -92,8 +98,8 @@ def test_check_passes_against_own_run():
     assert "PASS" in result.format()
 
 
-def test_check_fails_on_counter_change():
-    baseline = _smoke_artifact()
+def test_check_fails_on_counter_change(smoke_artifact):
+    baseline = smoke_artifact
     mutated = copy.deepcopy(baseline)
     cell = mutated["work"]["micro/engine-timeouts"]
     cell["counters"]["events_fired"] += 1
@@ -104,8 +110,8 @@ def test_check_fails_on_counter_change():
     assert "FAIL" in result.format()
 
 
-def test_check_fails_on_sim_time_change():
-    baseline = _smoke_artifact()
+def test_check_fails_on_sim_time_change(smoke_artifact):
+    baseline = smoke_artifact
     mutated = copy.deepcopy(baseline)
     mutated["work"]["micro/engine-timeouts"]["sim_time_us"] += 1.0
     result = check_perf_artifact(mutated, baseline)
@@ -114,8 +120,8 @@ def test_check_fails_on_sim_time_change():
                for message in result.work_mismatches)
 
 
-def test_check_fails_on_missing_or_extra_workload():
-    baseline = _smoke_artifact()
+def test_check_fails_on_missing_or_extra_workload(smoke_artifact):
+    baseline = smoke_artifact
     missing = copy.deepcopy(baseline)
     del missing["work"]["micro/ptp-t3d-p2"]
     result = check_perf_artifact(missing, baseline)
@@ -128,8 +134,8 @@ def test_check_fails_on_missing_or_extra_workload():
                for message in result.work_mismatches)
 
 
-def test_check_fails_on_throughput_regression():
-    baseline = _smoke_artifact()
+def test_check_fails_on_throughput_regression(smoke_artifact):
+    baseline = smoke_artifact
     current = copy.deepcopy(baseline)
     total = baseline["throughput"]["total"]
     total["events_per_sec"] = current["throughput"]["total"][
@@ -141,16 +147,16 @@ def test_check_fails_on_throughput_regression():
     assert "REGRESSION" in result.format()
 
 
-def test_check_rejects_bad_min_ratio():
-    artifact = _smoke_artifact()
+def test_check_rejects_bad_min_ratio(smoke_artifact):
+    artifact = smoke_artifact
     with pytest.raises(ValueError):
         check_perf_artifact(artifact, artifact, min_ratio=0.0)
 
 
-def test_profiled_suite_has_identical_work():
+def test_profiled_suite_has_identical_work(smoke_artifact):
     from repro.obs import EngineProfiler
 
-    plain = _smoke_artifact()
+    plain = smoke_artifact
     profiler = EngineProfiler()
     profiled = build_perf_artifact(
         run_perf_suite("smoke", profiler=profiler), suite="smoke")

@@ -13,6 +13,8 @@ from pathlib import Path
 
 import pytest
 
+from repro.bench.perfsuite import run_perf_suite
+
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
 
@@ -69,3 +71,28 @@ class GoldenComparator:
 @pytest.fixture
 def golden(request):
     return GoldenComparator(request.config.getoption("--update-golden"))
+
+
+@pytest.fixture(scope="session")
+def smoke_perf_runs():
+    """One unprofiled ``smoke`` engine perf-suite run for the session.
+
+    Tests that compare two independent runs, or profile a run, make
+    their own instead.
+    """
+    return tuple(run_perf_suite("smoke"))
+
+
+@pytest.fixture
+def shared_smoke_perf_suite(monkeypatch, request):
+    """Answer unprofiled ``run_perf_suite("smoke")`` calls made through
+    :mod:`repro.bench.perfsuite` (as the CLI makes them) with the
+    session's shared run, which is made on first use."""
+    from repro.bench import perfsuite
+
+    def shared(suite="default", profiler=None):
+        if suite == "smoke" and profiler is None:
+            return list(request.getfixturevalue("smoke_perf_runs"))
+        return run_perf_suite(suite, profiler=profiler)
+
+    monkeypatch.setattr(perfsuite, "run_perf_suite", shared)

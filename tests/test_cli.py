@@ -4,6 +4,10 @@ import pytest
 
 from repro.cli import main
 
+# Unprofiled ``perf --suite smoke`` runs reuse the session's one suite
+# run; tests/bench/test_perfsuite.py compares independent runs.
+pytestmark = pytest.mark.usefixtures("shared_smoke_perf_suite")
+
 
 def test_measure_command(capsys, monkeypatch):
     monkeypatch.setenv("REPRO_BENCH_FAST", "1")
@@ -611,3 +615,53 @@ def test_dash_command_rejects_unclassifiable_artifact(capsys,
     assert main(["dash", "--artifacts", str(junk),
                  "--out", str(tmp_path / "site")]) == 2
     assert "not a recognised artifact" in capsys.readouterr().err
+
+
+def _bad_point_cases():
+    """(argv, stderr message) per bad point input; a None message
+    means argparse rejects the value itself."""
+    commands = {
+        "measure": ["measure", "sp2", "broadcast"],
+        "sensitivity": ["sensitivity", "sp2", "broadcast"],
+        "app": ["app", "stap", "sp2"],
+        "trace": ["trace", "sp2", "broadcast"],
+        "profile": ["profile", "sp2", "broadcast"],
+        "chaos": ["chaos", "sp2", "broadcast"],
+        "critpath": ["critpath", "sp2", "broadcast"],
+    }
+    for name, argv in commands.items():
+        for nodes in (1, 513):
+            yield pytest.param(
+                argv + ["--nodes", str(nodes)],
+                f"sp2 supports 2..512 nodes, got {nodes}",
+                id=f"{name}-nodes{nodes}")
+        if name == "app":
+            continue
+        yield pytest.param(argv[:2] + ["bcast"], None,
+                           id=f"{name}-unknown-op")
+        yield pytest.param(argv + ["--bytes", "-1"], None,
+                           id=f"{name}-negative-bytes")
+        if name in ("measure", "trace", "profile"):
+            yield pytest.param(argv + ["--iterations", "0"], None,
+                               id=f"{name}-iterations0")
+    yield pytest.param(["measure", "sp2", "broadcast", "--runs", "0"],
+                       None, id="measure-runs0")
+    yield pytest.param(["dash", "--capture", "t3d:bogus"], "t3d:bogus",
+                       id="dash-capture-unknown-op")
+
+
+@pytest.mark.parametrize("argv, message", _bad_point_cases())
+def test_bad_point_input_exits_2_without_traceback(capsys, tmp_path,
+                                                   argv, message):
+    if argv[0] == "dash":
+        argv = argv + ["--artifacts", str(tmp_path),
+                       "--out", str(tmp_path / "site")]
+    if message is None:
+        with pytest.raises(SystemExit) as raised:
+            main(argv)
+        assert raised.value.code == 2
+    else:
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert message in err
+        assert "Traceback" not in err
