@@ -224,6 +224,19 @@ class FaultPlan:
                 and not self.node_slowdowns)
 
     @property
+    def has_inflight_faults(self) -> bool:
+        """Whether any fault acts on a transfer after it is issued.
+
+        Link outages abort transfers mid-flight, degradations stretch
+        them, and NIC stalls delay engine grants, so each needs every
+        hop simulated.  A plan with none of them only draws per-message
+        fates and slows node software, which the transport's analytic
+        short-circuit handles exactly.
+        """
+        return bool(self.link_outages or self.link_degradations
+                    or self.nic_stalls)
+
+    @property
     def is_probabilistic(self) -> bool:
         """Whether the plan consumes randomness per message."""
         return (self.loss_probability > 0.0

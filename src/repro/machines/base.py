@@ -277,7 +277,8 @@ class Machine:
                     f"slowdown factor must be >= 1.0, got {factor}")
         #: Allow the transport's analytic short-circuit (see
         #: :meth:`repro.mpi.transport.Transport._wire_fast`).  The
-        #: short-circuit additionally requires no fault injector and
+        #: short-circuit additionally requires no fault that acts in
+        #: flight (``FaultPlan.has_inflight_faults``) and
         #: tracing/metrics off; ``False`` forces full simulation of
         #: every message regardless (the equivalence suite runs both
         #: ways and asserts identical times).

@@ -12,16 +12,19 @@ machine's hardware pipeline:
    fabric carry the message (concurrently — the adapter streams into
    the fabric), then the destination NIC's receive engine ejects it,
    and after the kernel's dispatch latency the message becomes
-   matchable at the destination.  Without a fault plan, tracing or
-   metrics, a message whose NIC engines are free is carried without
-   wire processes (:meth:`Transport._wire_fast`): its route is booked
-   analytically when every link is idle, or else acquired by the
-   fabric's callback route chain
+   matchable at the destination.  Without tracing or metrics, and
+   without a fault that acts on a transfer in flight (link outages,
+   degradations, NIC stalls), a message whose NIC engines are free is
+   carried without wire processes (:meth:`Transport._wire_fast`): its
+   route is booked analytically when every link is idle, or else
+   acquired by the fabric's callback route chain
    (:meth:`~repro.network.NetworkFabric.chain_route`), which queues in
-   the link FIFOs exactly as a process would.  Every other message
-   runs the attempt loop of :meth:`Transport._wire` — exactly one
-   attempt without a fault plan, ack/timeout/retransmit rounds with
-   one.
+   the link FIFOs exactly as a process would.  A fault plan that only
+   draws per-message fates (loss, corruption) or slows node software
+   rides the same path, one attempt at a time, with the full path's
+   ack/timeout/retransmit rules.  Every other message runs the attempt
+   loop of :meth:`Transport._wire` — exactly one attempt without a
+   fault plan, ack/timeout/retransmit rounds with one.
 4. **Match** — a posted receive matching ``(src, tag)`` completes;
    otherwise the message joins the unexpected queue and its receiver
    will later pay the unexpected-handling cost plus a copy out of the
@@ -36,7 +39,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from typing import Generator, List, Optional
+from typing import Callable, Generator, List, Optional, Union
 
 from ..machines import Machine
 from ..network import TransferAborted
@@ -69,6 +72,22 @@ class PostedReceive:
     src: int
     tag: object
     was_unexpected: bool = False
+
+
+class _Attempt:
+    """One short-circuited wire attempt of a message under a fault plan:
+    what settling it at the wire end, and retransmitting, need."""
+
+    __slots__ = ("envelope", "op", "fast", "number", "started", "fate")
+
+    def __init__(self, envelope: Envelope, op: str, fast: bool,
+                 number: int, started: float, fate: str):
+        self.envelope = envelope
+        self.op = op
+        self.fast = fast
+        self.number = number
+        self.started = started
+        self.fate = fate
 
 
 class Transport:
@@ -152,18 +171,21 @@ class Transport:
 
     # -- analytic short-circuit -------------------------------------------
     def _wire_fast(self, src: int, dst: int, nbytes: int, tag: object,
-                   op: str, fast: bool) -> bool:
-        """Try to carry one message without wire processes.
+                   op: str, fast: bool, attempt: int = 0,
+                   envelope: Optional[Envelope] = None) -> bool:
+        """Try to carry one attempt of a message without wire processes.
 
-        Eligibility is checked explicitly: no fault injector (a
-        :class:`~repro.faults.FaultPlan` must see every hop simulated),
-        the machine's ``fast_wire`` switch on, and tracing/metrics off
+        Eligibility is checked explicitly: no fault that acts on a
+        transfer in flight
+        (:attr:`~repro.faults.FaultPlan.has_inflight_faults`: outages,
+        degradations and NIC stalls must see every hop simulated), the
+        machine's ``fast_wire`` switch on, and tracing/metrics off
         (observability wants the real spans and gauges).  Even then
         both NIC engines must be timestamp-bookable: a busy one rolls
         the bookings back and returns ``False``, and the caller runs
-        the one attempt loop of :meth:`_wire` — the full path, kept as
-        the reference the differential harness compares this one
-        against.
+        the attempt loop of :meth:`_wire` from this attempt on — the
+        full path, kept as the reference the differential harness
+        compares this one against.
 
         With the engines booked, the wire ends when the slowest of the
         three legs does — exactly when ``all_of`` over the full path's
@@ -174,15 +196,25 @@ class Transport:
         acquires, holds and releases the route with callbacks and hands
         back the release time (:meth:`_wire_released`).  Either way two
         plain events replace the four processes and their resource
-        protocol: a *landing* event at the wire end (where the delivery
-        jitter is drawn, at the same simulated time as the full path
-        draws it) and a *deliver* event after the kernel dispatch
-        latency.  The landing runs at once instead when the route's
-        release is already the wire end.
+        protocol: a *wire-end* event and a *deliver* event after the
+        kernel dispatch latency.  The wire end runs at once instead
+        when the route's release is already the wire end.
+
+        Without a fault plan the wire end lands the message, drawing
+        the delivery jitter at the same simulated time as the full
+        path.  Under a fate-only plan the attempt's fate is drawn once
+        the engines are booked, and the wire end settles the attempt
+        with the full path's own rules (:meth:`_settle_attempt`): a
+        delivered attempt lands, a failed one retransmits once its
+        timeout has run out, re-entering this method with the next
+        attempt index.
         """
         machine = self.machine
-        if machine.injector is not None or not machine.fast_wire or \
-                machine.tracer.enabled or machine.metrics.enabled:
+        injector = machine.injector
+        if not machine.fast_wire or machine.tracer.enabled or \
+                machine.metrics.enabled or (
+                    injector is not None and
+                    injector.plan.has_inflight_faults):
             return False
         env = self.env
         src_node = machine.nodes[src]
@@ -210,8 +242,13 @@ class Transport:
         if work is not None:
             work.resource_occupancies += 2  # the two engine bookings
         now = env._now
-        envelope = Envelope(src=src, dst=dst, tag=tag, nbytes=nbytes,
-                            sent_at=now)
+        if envelope is None:
+            envelope = Envelope(src=src, dst=dst, tag=tag, nbytes=nbytes,
+                                sent_at=now)
+        ending: Union[Envelope, _Attempt] = envelope
+        if injector is not None:
+            ending = _Attempt(envelope, op, fast, attempt, now,
+                              injector.message_fate(src, dst))
         engines_end = tx[0] if tx[0] > rx[0] else rx[0]
         fabric = machine.fabric
         routed = fabric.try_book_route(src, dst, nbytes)
@@ -221,34 +258,80 @@ class Transport:
             # anyway) and the route chain queues in the link FIFOs like
             # any other transfer.
             fabric.chain_route(src, dst, nbytes, partial(
-                self._wire_released, envelope, engines_end))
+                self._wire_released, ending, engines_end))
             return True
         hold, bookings = routed
         fabric.commit_route(bookings, nbytes, hold)
         wire_end = now + hold
         if engines_end > wire_end:
             wire_end = engines_end
-        self._schedule_landing(envelope, wire_end)
+        self._schedule_call(ending, wire_end, self._wire_fast_ended)
         return True
 
-    def _wire_released(self, envelope: Envelope, engines_end: float,
-                       release: float) -> None:
+    def _wire_released(self, ending: Union[Envelope, _Attempt],
+                       engines_end: float, release: float) -> None:
         """The route chain released the route: the wire ends at the
         later of the release and the engine legs' ends."""
         if engines_end > release:
-            self._schedule_landing(envelope, engines_end)
+            self._schedule_call(ending, engines_end, self._wire_fast_ended)
+        elif ending.__class__ is Envelope:
+            self._land(ending)
         else:
-            self._land(envelope)
+            self._settle_fast(ending)
 
-    def _schedule_landing(self, envelope: Envelope, at: float) -> None:
-        landing = Event(self.env)
-        landing._ok = True
-        landing._value = envelope
-        landing.callbacks.append(self._wire_fast_landed)
-        self.env._schedule(landing, at, NORMAL)
+    def _schedule_call(self, value: object, at: float,
+                       callback: Callable[[Event], None]) -> None:
+        """One plain event at ``at`` that hands ``value`` to
+        ``callback`` (a bound method, so the engine profiler books it
+        to this class)."""
+        event = Event(self.env)
+        event._ok = True
+        event._value = value
+        event.callbacks.append(callback)
+        self.env._schedule(event, at, NORMAL)
 
-    def _wire_fast_landed(self, event: Event) -> None:
-        self._land(event._value)
+    def _wire_fast_ended(self, event: Event) -> None:
+        """A short-circuited wire ended: land the message, or settle
+        the attempt when a fault plan drew its fate."""
+        ending = event._value
+        if ending.__class__ is Envelope:
+            self._land(ending)
+        else:
+            self._settle_fast(ending)
+
+    def _settle_fast(self, attempt: _Attempt) -> None:
+        """Land a delivered attempt, or retransmit once its timeout has
+        run out (at once when the wire already outlasted it)."""
+        wait = self._settle_attempt(attempt.envelope, attempt.number,
+                                    attempt.started, attempt.fate)
+        if wait is None:
+            self._land(attempt.envelope)
+        elif wait > 0:
+            # No ack will come: sit out the rest of the timeout.
+            self._schedule_call(attempt, self.env._now + wait,
+                                self._wire_fast_timed_out)
+        else:
+            self._retransmit_fast(attempt)
+
+    def _wire_fast_timed_out(self, event: Event) -> None:
+        self._retransmit_fast(event._value)
+
+    def _retransmit_fast(self, failed: _Attempt) -> None:
+        """Send the attempt after ``failed``, on the short-circuit when
+        its engines are free and through :meth:`_wire` otherwise."""
+        envelope = failed.envelope
+        self._retransmit_or_fail(envelope, failed.number)
+        attempt = failed.number + 1
+        src, dst = envelope.src, envelope.dst
+        if not self._wire_fast(src, dst, envelope.nbytes, envelope.tag,
+                               failed.op, failed.fast, attempt,
+                               envelope):
+            self.env.process(self._wire(src, dst, envelope.nbytes,
+                                        envelope.tag, failed.op,
+                                        fast=failed.fast,
+                                        attempt=attempt,
+                                        envelope=envelope),
+                             name=f"wire-{src}-{dst}")
 
     def _land(self, envelope: Envelope) -> None:
         """The message's tail has left the network: draw the delivery
@@ -268,12 +351,14 @@ class Transport:
         envelope.delivered_at = self.env._now
         self._deliver(envelope)
 
+    # -- full path ----------------------------------------------------------
     def _wire(self, src: int, dst: int, nbytes: int, tag: object,
               op: str, fast: bool, span: Optional[Span] = None,
-              phase_span: Optional[Span] = None
+              phase_span: Optional[Span] = None, attempt: int = 0,
+              envelope: Optional[Envelope] = None
               ) -> Generator[Event, None, None]:
-        """The full wire pipeline: one attempt loop for every message
-        :meth:`_wire_fast` did not take.
+        """The full wire pipeline: the attempt loop for every message
+        (or retransmission) :meth:`_wire_fast` did not take.
 
         Each attempt runs the three legs concurrently — transmit
         engine, fabric transfer (the ``carry`` process), receive
@@ -286,14 +371,16 @@ class Transport:
         always succeeds.  With one, every attempt draws a fate from the
         plan's seeded stream first; a lost, corrupted, or aborted
         attempt delivers nothing, and the sender learns of the failure
-        only when the attempt's retransmission timeout (exponential
-        backoff, bounded) expires, then retransmits — possibly over a
-        detour if a link died meanwhile.  After ``max_retries``
-        retransmissions the message fails with :class:`DeliveryError`.
+        only when the attempt's retransmission timeout expires, then
+        retransmits — possibly over a detour if a link died meanwhile
+        (:meth:`_settle_attempt` and :meth:`_retransmit_or_fail` hold
+        the rules).  ``attempt`` and ``envelope`` continue a message
+        whose earlier attempts the short-circuit carried.
         """
         env = self.env
-        envelope = Envelope(src=src, dst=dst, tag=tag, nbytes=nbytes,
-                            sent_at=env.now, span=span)
+        if envelope is None:
+            envelope = Envelope(src=src, dst=dst, tag=tag, nbytes=nbytes,
+                                sent_at=env.now, span=span)
         machine = self.machine
         injector = machine.injector
         src_nic = machine.nodes[src].nic
@@ -302,9 +389,7 @@ class Transport:
         # this collective's payloads (e.g. the Paragon coprocessor).
         fast_rx = machine.nodes[dst].payload_mode(
             self.spec.uses_dma_for(op), nbytes) is not TransferMode.HOST
-        attempts = 1 if injector is None else \
-            injector.plan.retry.max_retries + 1
-        for attempt in range(attempts):
+        while True:
             started = env.now
             fate = "ok" if injector is None else \
                 injector.message_fate(src, dst)
@@ -316,50 +401,38 @@ class Transport:
                 env.process(dst_nic.receive(nbytes, fast=fast_rx)),
             ]
             yield env.all_of(legs)
-            if not aborted and fate == "ok":
-                if injector is not None:
-                    # Delivered.  If wire + ack return exceeded the RTO
-                    # the real protocol would have retransmitted
-                    # needlessly; count it, but don't re-run delivery.
-                    retry = injector.plan.retry
-                    ack_us = machine.fabric.transfer_time(
-                        dst, src, retry.ack_bytes)
-                    if env.now - started + ack_us > \
-                            retry.timeout_for_attempt(attempt):
-                        injector.record_spurious_retransmit()
+            if injector is None:
                 break
-            wire_us = env.now - started
-            rto = injector.plan.retry.timeout_for_attempt(attempt)
+            if aborted:
+                fate = "aborted"
+            wait = self._settle_attempt(envelope, attempt, started, fate)
+            if wait is None:
+                break
             # Failed attempt: the fate is only known now, so the
             # recovery span is opened retroactively over the wasted
             # wire time (the tracer accepts past start times).
             tracer = machine.tracer
             if tracer.enabled:
-                reason = "aborted" if aborted else fate
                 doomed = tracer.begin(started, f"retransmit {src}->{dst}",
                                       "retransmit", node=src, parent=span,
                                       dst=dst, attempt=attempt,
-                                      reason=reason)
+                                      reason=fate)
                 tracer.end(doomed, env.now)
             # No ack will come, so the sender sits out the rest of the
             # RTO before trying again.
-            if rto > wire_us:
+            if wait > 0:
                 if tracer.enabled:
-                    sitout = tracer.begin(env.now, f"backoff {src}->{dst}",
-                                          "backoff", node=src, parent=span,
-                                          dst=dst, attempt=attempt,
-                                          rto_us=rto)
-                    yield env.sleep(rto - wire_us)
+                    sitout = tracer.begin(
+                        env.now, f"backoff {src}->{dst}", "backoff",
+                        node=src, parent=span, dst=dst, attempt=attempt,
+                        rto_us=injector.plan.retry.timeout_for_attempt(
+                            attempt))
+                    yield env.sleep(wait)
                     tracer.end(sitout, env.now)
                 else:
-                    yield env.sleep(rto - wire_us)
-            if attempt + 1 < attempts:
-                injector.record_retransmit()
-                work = env.work
-                if work is not None:
-                    work.retransmissions += 1
-        else:
-            raise DeliveryError(src, dst, tag, attempts)
+                    yield env.sleep(wait)
+            self._retransmit_or_fail(envelope, attempt)
+            attempt += 1
         yield env.sleep(
             self.spec.software.deliver_us * machine.jitter(dst))
         envelope.delivered_at = env.now
@@ -370,6 +443,43 @@ class Transport:
             # The phase lasts until its last member message lands.
             tracer.extend(phase_span, env.now)
         self._deliver(envelope)
+
+    # -- recovery protocol (both paths) ---------------------------------------
+    def _settle_attempt(self, envelope: Envelope, attempt: int,
+                        started: float, fate: str) -> Optional[float]:
+        """Judge a finished attempt under a fault plan.
+
+        Returns ``None`` when ``fate`` is ``"ok"`` (delivered); if wire
+        plus ack return exceeded the RTO, the real protocol would have
+        retransmitted needlessly, which is counted but not re-run.
+        Otherwise returns how long the sender still waits for the
+        attempt's timeout (exponential backoff, bounded) before it
+        retransmits; zero or less means at once.
+        """
+        injector = self.machine.injector
+        retry = injector.plan.retry
+        rto = retry.timeout_for_attempt(attempt)
+        wire_us = self.env._now - started
+        if fate == "ok":
+            ack_us = self.machine.fabric.transfer_time(
+                envelope.dst, envelope.src, retry.ack_bytes)
+            if wire_us + ack_us > rto:
+                injector.record_spurious_retransmit()
+            return None
+        return rto - wire_us
+
+    def _retransmit_or_fail(self, envelope: Envelope, attempt: int) -> None:
+        """The timeout of failed ``attempt`` ran out: count the
+        retransmission, or raise :class:`DeliveryError` once
+        ``max_retries`` retransmissions are spent."""
+        injector = self.machine.injector
+        if attempt >= injector.plan.retry.max_retries:
+            raise DeliveryError(envelope.src, envelope.dst, envelope.tag,
+                                attempt + 1)
+        injector.record_retransmit()
+        work = self.env.work
+        if work is not None:
+            work.retransmissions += 1
 
     def _carry(self, src: int, dst: int, nbytes: int,
                span: Optional[Span], aborted: List[TransferAborted]

@@ -146,11 +146,12 @@ class NetworkFabric:
         """Book every link of an *uncontended* transfer starting now.
 
         Synchronous counterpart of :meth:`transfer` for the analytic
-        short-circuit: only callable with no fault injector attached
-        (the caller checks), and only succeeds when every link on the
-        route is idle at the current instant — any busy or booked link
-        rolls the whole attempt back and returns ``None``, forcing the
-        full simulation path (which is where contention waits, stall
+        short-circuit: only callable when no planned fault acts on a
+        transfer in flight (no outage or degradation; the caller
+        checks), and only succeeds when every link on the route is idle
+        at the current instant — any busy or booked link rolls the
+        whole attempt back and returns ``None``, forcing the full
+        simulation path (which is where contention waits, stall
         counters, and spans live).  Returns ``(hold, bookings)``; the
         caller must finish with :meth:`commit_route` (success) or
         :meth:`undo_route` (a later leg of its own booking failed).
@@ -199,8 +200,8 @@ class NetworkFabric:
         """Carry a transfer :meth:`try_book_route` refused, without a
         process.
 
-        Same preconditions as :meth:`try_book_route` (no fault
-        injector, no tracing or metrics), and only for a non-empty
+        Same preconditions as :meth:`try_book_route` (no in-flight
+        faults, no tracing or metrics), and only for a non-empty
         route with contention on — the only routes that booking can
         refuse.  The transfer starts from one event at ``(now,
         URGENT)``, where a process's first step would run, and ends by

@@ -96,7 +96,11 @@ class Nic:
 
     def _try_book(self, engine: Resource, nbytes: int, fast: bool
                   ) -> Optional[Tuple[float, Resource, float]]:
-        if self.injector is not None or self.metrics.enabled:
+        # Metrics want the queue-depth gauge of the request path, and
+        # a stall (or any other in-flight fault) must see the grant.
+        injector = self.injector
+        if self.metrics.enabled or (
+                injector is not None and injector.plan.has_inflight_faults):
             return None
         if nbytes < 0:
             raise ValueError(f"negative message size {nbytes}")

@@ -25,8 +25,11 @@ the interval a request-holding process would have kept it.  A classic
 ``request()`` arriving during a booked interval queues exactly as if a
 process held the resource, and a wakeup event grants the FIFO head when
 the booking expires — at the same simulated time a real release would
-have.  The differential-equivalence suite asserts this produces
-identical times to the pure request/release protocol.
+have.  Until that wakeup has run, a new request queues behind the
+waiters even at the booking's last instant, as it would behind a
+holder that has not yet released.  The differential-equivalence suite
+asserts this produces identical times to the pure request/release
+protocol.
 
 In-place grants
 ---------------
@@ -223,10 +226,12 @@ class Resource:
         if work is not None:
             work.resource_requests += 1
         if len(self._users) < self.capacity:
-            if self._busy_until > self.env._now:
+            if self._busy_until > self.env._now or self._waiting:
                 # A timestamp booking holds the resource: queue exactly
                 # as behind a granted request, and let the booking-end
-                # wakeup play the role of the holder's release.
+                # wakeup play the role of the holder's release.  Its
+                # waiters keep their turn until that wakeup fires, even
+                # when the booking ends at this very instant.
                 if not self._waiting:
                     self._schedule_wakeup()
                 self._waiting.append(req)

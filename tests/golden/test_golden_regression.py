@@ -1,4 +1,5 @@
-"""Golden regression layer: snapshots of the closed-form outputs.
+"""Golden regression layer: snapshots of the closed-form outputs, and
+of one seeded sim-mode sweep under a fault plan.
 
 Any change to the Table 3 transcription, the timing-expression
 evaluator, or the analytic cost model shows up here as a reviewable
@@ -100,3 +101,29 @@ def test_sweep_baseline_matches_model_mode():
     diff = diff_artifacts(load_artifact(baseline_path), regenerated,
                           rtol=1e-9)
     assert diff.clean(), diff.format()
+
+
+def test_lossy_smoke_sweep_golden(golden, tmp_path, capsys):
+    """A seeded sim-mode sweep under the ``lossy`` fault preset,
+    byte for byte.
+
+    ``tests/golden/BENCH_sweep_lossy_smoke.json`` is the artifact of
+    ``repro-bench sweep --grid smoke --faults lossy --no-cache``.  Loss,
+    corruption, retransmission timeouts and the short-circuit's fault
+    handling all feed these simulated times, so any change to them is
+    a reviewable diff.  The CI chaos job compares the same file.
+    """
+    import json
+
+    from repro.cli import main
+
+    out = tmp_path / "lossy.json"
+    assert main(["sweep", "--grid", "smoke", "--faults", "lossy",
+                 "--no-cache", "--out", str(out)]) == 0
+    capsys.readouterr()
+    text = out.read_text("utf-8")
+    payload = json.loads(text)
+    # The CLI writes the golden's own canonical form, so comparing the
+    # rendered payload compares the artifact's bytes.
+    assert golden.render(payload) == text
+    golden.check("BENCH_sweep_lossy_smoke.json", payload)

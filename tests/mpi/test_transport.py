@@ -3,7 +3,7 @@
 import pytest
 
 from repro.faults import FaultPlan, RetryConfig
-from repro.mpi import MpiWorld, RankError
+from repro.mpi import DeliveryError, MpiWorld, RankError
 from repro.obs.perf import WorkMeter
 
 
@@ -236,10 +236,14 @@ def test_full_path_makes_one_attempt_per_message_without_faults():
     assert meter.retransmissions == 0
 
 
-def test_lossy_attempt_loop_retries_until_delivered():
+def _lossy_world(fast_wire):
     plan = FaultPlan(name="lossy", loss_probability=0.3,
                      retry=RetryConfig(timeout_us=500.0, max_retries=20))
-    w = world("sp2", 8, faults=plan)
+    return world("sp2", 8, faults=plan, fast_wire=fast_wire)
+
+
+def test_lossy_attempt_loop_retries_until_delivered():
+    w = _lossy_world(fast_wire=False)
     transport, carried = _count_carries(w)
     meter = WorkMeter()
     w.env.work = meter
@@ -249,3 +253,39 @@ def test_lossy_attempt_loop_retries_until_delivered():
     assert meter.retransmissions == retransmits
     # Every retransmission is one more trip through the attempt loop.
     assert len(carried) == transport.messages_delivered + retransmits
+
+
+def test_lossy_short_circuit_books_one_transfer_per_attempt():
+    w = _lossy_world(fast_wire=True)
+    transport = w.comm.transport
+    meter = WorkMeter()
+    w.env.work = meter
+    w.run_collective("allreduce", 4096)
+    retransmits = w.machine.injector.retransmits
+    assert retransmits > 0
+    assert meter.transfers_shortcircuited > 0
+    assert meter.retransmissions == retransmits
+    # Every attempt, on either path, enters the fabric exactly once.
+    assert meter.transfers_booked == \
+        transport.messages_delivered + retransmits
+
+
+def _delivery_failure(fast_wire):
+    plan = FaultPlan(name="hopeless", loss_probability=0.98,
+                     retry=RetryConfig(timeout_us=500.0, max_retries=2))
+    w = world("sp2", 8, faults=plan, fast_wire=fast_wire)
+    meter = WorkMeter()
+    w.env.work = meter
+    with pytest.raises(DeliveryError) as excinfo:
+        w.run_collective("allreduce", 4096)
+    error = excinfo.value
+    return (w.env.now, error.src, error.dst, error.attempts,
+            w.machine.injector.retransmits), meter
+
+
+def test_short_circuit_gives_up_where_the_full_path_does():
+    fast, fast_meter = _delivery_failure(fast_wire=True)
+    slow, _ = _delivery_failure(fast_wire=False)
+    assert fast_meter.transfers_shortcircuited > 0
+    assert fast[3] == 3  # the first attempt and both retries
+    assert fast == slow

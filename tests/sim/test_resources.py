@@ -323,6 +323,31 @@ def test_booking_respects_fifo_among_queued_requests():
     assert order == [("first", 5.0), ("second", 6.0)]
 
 
+def test_request_at_booking_end_queues_behind_waiters():
+    """A request made at the instant a booking ends, before the
+    booking's wakeup has granted the queued head, must not overtake
+    it: a real holder would still hold the resource at that point."""
+    env = Environment()
+    resource = Resource(env, capacity=1)
+    order = []
+
+    def requester(name, arrive):
+        yield env.timeout(arrive)
+        request = resource.request()
+        yield request
+        order.append((name, env.now))
+        yield env.timeout(1.0)
+        resource.release(request)
+
+    resource.try_occupy(5.0)
+    # Created first, so its arrival timeout fires at t=5 before the
+    # wakeup the "first" request schedules at t=1.
+    env.process(requester("late", 5.0))
+    env.process(requester("first", 1.0))
+    env.run()
+    assert order == [("first", 5.0), ("late", 6.0)]
+
+
 def test_booking_counts_as_occupancy_not_grant():
     env = Environment()
     meter = WorkMeter()

@@ -14,7 +14,10 @@ graphs (hypothesis) and real MPI workloads and asserts
   times to 1e-12 s (1e-6 of this repo's microsecond unit) and carry the
   same traffic: equal bytes per link and message counts per NIC —
   including contended total exchanges, whose busy routes go through
-  the fabric's callback route chain.
+  the fabric's callback route chain;
+* under fault plans that only draw per-message fates or slow node
+  software, the two paths agree exactly: times, traffic, retries and
+  every fault-injector counter.
 """
 
 import json
@@ -26,6 +29,7 @@ from pathlib import Path
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.faults import FaultPlan, fault_preset
 from repro.mpi import MpiWorld
 from repro.obs.perf import WorkMeter
 from repro.sim import Environment, Resource, Store
@@ -296,6 +300,119 @@ def test_route_chain_exact_on_contended_alltoall():
         for counter in ("link_acquisitions", "transfers_stalled"):
             assert fast_work[counter] == slow_work[counter], \
                 (workload, counter)
+
+
+# -- fate-only fault plans: short-circuit vs full simulation ----------------
+
+#: Plans the short-circuit carries: per-message fates and node
+#: slowdowns, no fault that acts on a transfer in flight.
+FATE_ONLY_PLANS = [
+    fault_preset("lossy"),
+    fault_preset("slow-node"),
+    FaultPlan(name="corrupting", corruption_probability=0.05),
+]
+
+#: A tree collective and a contended total exchange per machine, so
+#: retries go through both the idle-route booking and the route chain.
+FAULTY_CASES = [
+    (machine, op, nbytes, p)
+    for machine in ("sp2", "t3d", "paragon")
+    for op, nbytes, p in (("broadcast", 4096, 16),
+                          ("alltoall", 65536, 16))
+]
+
+
+def hog_transmit_engines(world, period_us, hold_us, cycles):
+    """Occupy every NIC's transmit engine through the request protocol
+    for ``hold_us`` out of every ``period_us``, ``cycles`` times.
+
+    Within a run the short-circuit may take, the wire paths book NIC
+    engines and never queue a request on one, so an engine only refuses
+    a booking while an outside user like this one holds or awaits it.
+    """
+    env = world.env
+
+    def hog(engine):
+        for _ in range(cycles):
+            yield env.timeout(period_us)
+            request = engine.request()
+            yield request
+            yield env.timeout(hold_us)
+            engine.release(request)
+
+    for node in world.machine.nodes:
+        env.process(hog(node.nic._tx), name="hog")
+
+
+def run_faulty(machine, op, nbytes, p, plan, fast_wire, hogged=False):
+    """Run one collective under ``plan``; return (observables, work,
+    how many retries continued in ``_wire`` after the short-circuit
+    carried the attempt before).  ``hogged`` adds
+    :func:`hog_transmit_engines`."""
+    world = MpiWorld(machine, p, seed=0, faults=plan,
+                     fast_wire=fast_wire)
+    meter = WorkMeter()
+    world.env.work = meter
+    if hogged:
+        hog_transmit_engines(world, period_us=700.0, hold_us=150.0,
+                             cycles=20)
+    transport = world.comm.transport
+    wire = transport._wire
+    resumed = []
+
+    def counting_wire(*args, **kwargs):
+        if kwargs.get("attempt", 0) > 0:
+            resumed.append(args[:2])
+        return wire(*args, **kwargs)
+
+    transport._wire = counting_wire
+    elapsed = world.run_collective(op, nbytes)
+    injector = world.machine.injector
+    observables = {
+        "elapsed": elapsed,
+        "links": world.machine.fabric.utilisation(),
+        "nics": [(node.nic.messages_sent, node.nic.messages_received)
+                 for node in world.machine.nodes],
+        "injector": {name: getattr(injector, name) for name in (
+            "messages_lost", "messages_corrupted", "transfers_aborted",
+            "reroutes", "unroutable", "retransmits",
+            "spurious_retransmits", "nic_stall_total_us")},
+    }
+    return observables, meter.snapshot(), len(resumed)
+
+
+def test_fate_only_plans_exact_on_short_circuit():
+    """Lost and corrupted attempts, their retransmissions and slowed
+    node software replay the full path exactly on the short-circuit —
+    including, with the transmit engines hogged, retries that find
+    their engines busy and continue in the full attempt loop."""
+    for plan in FATE_ONLY_PLANS:
+        for workload in FAULTY_CASES:
+            fast, fast_work, resumed = run_faulty(*workload, plan,
+                                                  fast_wire=True)
+            slow, slow_work, _ = run_faulty(*workload, plan,
+                                            fast_wire=False)
+            assert resumed == 0, (plan.name, workload)
+            assert fast == slow, (plan.name, workload)
+            assert fast_work["transfers_shortcircuited"] > 0, \
+                (plan.name, workload)
+            for counter in ("messages_sent", "messages_delivered",
+                            "retransmissions", "transfers_booked",
+                            "link_acquisitions", "transfers_stalled"):
+                assert fast_work[counter] == slow_work[counter], \
+                    (plan.name, workload, counter)
+            if plan.is_probabilistic:
+                assert fast["injector"]["retransmits"] > 0, \
+                    (plan.name, workload)
+    fell_back = 0
+    for workload in FAULTY_CASES:
+        fast, _, resumed = run_faulty(*workload, FATE_ONLY_PLANS[0],
+                                      fast_wire=True, hogged=True)
+        slow, _, _ = run_faulty(*workload, FATE_ONLY_PLANS[0],
+                                fast_wire=False, hogged=True)
+        assert fast == slow, workload
+        fell_back += resumed
+    assert fell_back > 0, "no retry ever found its engines busy"
 
 
 # -- cross-process determinism (fresh interpreter per run) -----------------
