@@ -13,7 +13,10 @@ The :class:`FaultInjector` turns a declarative
   the same fault sequence;
 * it runs one watchdog process per scheduled outage that, at the
   outage's start time, aborts every in-flight transfer crossing the
-  dying link via :meth:`~repro.sim.Process.interrupt`.
+  dying link.  The fabric carries every route that crosses such a link
+  by a route chain and registers it here while it is in flight; the
+  watchdog calls its ``abort()``, which releases the chain's held and
+  queued links in an event of its own at the current instant.
 
 Every counter the injector maintains is mirrored into the machine's
 metrics registry under ``faults.*`` when metrics are enabled.
@@ -21,18 +24,11 @@ metrics registry under ``faults.*`` when metrics are enabled.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Generator, List, Optional, Tuple
+from typing import Any, Dict, FrozenSet, Generator, List, Optional, Tuple
 
 from ..network.topology import LinkId, Topology
 from ..obs.metrics import MetricsRegistry
-from ..sim import (
-    Environment,
-    Event,
-    Process,
-    RandomStreams,
-    SimulationError,
-    Tracer,
-)
+from ..sim import Environment, Event, RandomStreams, Tracer
 from .plan import FaultPlan
 
 __all__ = ["MessageFate", "FaultInjector"]
@@ -73,8 +69,14 @@ class FaultInjector:
                 raise ValueError(
                     f"fault references node {event.node}, but the "
                     f"machine has {topology.num_nodes} nodes")
-        #: In-flight transfers: process -> links its route crosses.
-        self._active: Dict[Process, FrozenSet[LinkId]] = {}
+        #: Whether any planned fault acts on links; without one every
+        #: transfer takes its fault-free route at full speed.
+        self.acts_on_links = bool(self._outages or self._degradations)
+        #: Links a planned outage kills at some point.
+        self._outage_links = frozenset(link for link, _ in self._outages)
+        #: In-flight transfers crossing one of those links: transfer
+        #: (anything with an ``abort()`` method) -> links of its route.
+        self._active: Dict[Any, FrozenSet[LinkId]] = {}
         self.messages_lost = 0
         self.messages_corrupted = 0
         self.transfers_aborted = 0
@@ -191,12 +193,17 @@ class FaultInjector:
         if self.metrics.enabled:
             self.metrics.counter("faults.spurious_retransmits").inc()
 
-    def begin_transfer(self, process: Process, route) -> None:
-        """Register an in-flight transfer so outages can abort it."""
-        self._active[process] = frozenset(route)
+    def watches(self, route) -> bool:
+        """Whether a planned outage can kill a link of ``route``: such a
+        transfer must be abortable while in flight."""
+        return not self._outage_links.isdisjoint(route)
 
-    def end_transfer(self, process: Process) -> None:
-        self._active.pop(process, None)
+    def begin_transfer(self, transfer: Any, route) -> None:
+        """Register an in-flight transfer so outages can abort it."""
+        self._active[transfer] = frozenset(route)
+
+    def end_transfer(self, transfer: Any) -> None:
+        self._active.pop(transfer, None)
 
     def record_abort(self) -> None:
         self.transfers_aborted += 1
@@ -213,12 +220,6 @@ class FaultInjector:
             self.metrics.counter("faults.link_outages").inc()
         self.tracer.emit(self.env.now, "fault-link-outage", outage.src,
                          dst=outage.dst)
-        # Snapshot: interrupts mutate the registry via end_transfer.
-        for process, links in list(self._active.items()):
-            if link in links and process.is_alive:
-                try:
-                    process.interrupt(cause=("link-outage", link))
-                except SimulationError:
-                    # The process finished or is mid-step; the fabric's
-                    # own dead-link checks cover it.
-                    continue
+        for transfer, links in list(self._active.items()):
+            if link in links:
+                transfer.abort()

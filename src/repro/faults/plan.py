@@ -89,7 +89,7 @@ class LinkOutage:
     """The link out of ``src`` toward ``dst`` is dead during the window.
 
     Transfers holding or waiting for the link when the outage begins
-    are aborted (via :class:`~repro.sim.Interrupt`); new transfers
+    are aborted (their route chains release the link); new transfers
     route around it where the topology offers an alternate path.
     """
 
@@ -222,19 +222,6 @@ class FaultPlan:
                 and not self.link_degradations
                 and not self.nic_stalls
                 and not self.node_slowdowns)
-
-    @property
-    def has_inflight_faults(self) -> bool:
-        """Whether any fault acts on a transfer after it is issued.
-
-        Link outages abort transfers mid-flight, degradations stretch
-        them, and NIC stalls delay engine grants, so each needs every
-        hop simulated.  A plan with none of them only draws per-message
-        fates and slows node software, which the transport's analytic
-        short-circuit handles exactly.
-        """
-        return bool(self.link_outages or self.link_degradations
-                    or self.nic_stalls)
 
     @property
     def is_probabilistic(self) -> bool:

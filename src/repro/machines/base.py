@@ -254,8 +254,7 @@ class Machine:
                  tracer: Optional[Tracer] = None, contention: bool = True,
                  cpu_slowdown: Optional[Mapping[int, float]] = None,
                  metrics: Optional[MetricsRegistry] = None,
-                 faults: Optional[FaultPlan] = None,
-                 fast_wire: bool = True):
+                 faults: Optional[FaultPlan] = None):
         spec.check_nodes(num_nodes)
         self.env = env
         self.spec = spec
@@ -275,14 +274,6 @@ class Machine:
             if factor < 1.0:
                 raise ValueError(
                     f"slowdown factor must be >= 1.0, got {factor}")
-        #: Allow the transport's analytic short-circuit (see
-        #: :meth:`repro.mpi.transport.Transport._wire_fast`).  The
-        #: short-circuit additionally requires no fault that acts in
-        #: flight (``FaultPlan.has_inflight_faults``) and
-        #: tracing/metrics off; ``False`` forces full simulation of
-        #: every message regardless (the equivalence suite runs both
-        #: ways and asserts identical times).
-        self.fast_wire = fast_wire
         self.topology = spec.network.build_topology(num_nodes)
         # A fault-free plan builds no injector at all, which keeps the
         # fabric/NIC/jitter hot paths — and therefore every simulated

@@ -12,19 +12,17 @@ machine's hardware pipeline:
    fabric carry the message (concurrently — the adapter streams into
    the fabric), then the destination NIC's receive engine ejects it,
    and after the kernel's dispatch latency the message becomes
-   matchable at the destination.  Without tracing or metrics, and
-   without a fault that acts on a transfer in flight (link outages,
-   degradations, NIC stalls), a message whose NIC engines are free is
-   carried without wire processes (:meth:`Transport._wire_fast`): its
-   route is booked analytically when every link is idle, or else
-   acquired by the fabric's callback route chain
-   (:meth:`~repro.network.NetworkFabric.chain_route`), which queues in
-   the link FIFOs exactly as a process would.  A fault plan that only
-   draws per-message fates (loss, corruption) or slows node software
-   rides the same path, one attempt at a time, with the full path's
-   ack/timeout/retransmit rules.  Every other message runs the attempt
-   loop of :meth:`Transport._wire` — exactly one attempt without a
-   fault plan, ack/timeout/retransmit rounds with one.
+   matchable at the destination.  No process carries it
+   (:meth:`Transport._wire`): both NIC engines are booked with
+   timestamps, and the fabric books the route analytically when every
+   link is idle, or else acquires it with a callback route chain
+   (:meth:`~repro.network.NetworkFabric.carry`) that queues in the link
+   FIFOs.  Under a fault plan each attempt draws its fate, and a
+   failed attempt (lost, corrupted, or aborted by a dead link) is
+   retransmitted after its timeout by the ack/timeout/retransmit rules
+   of :meth:`Transport._settle`.  Tracing and metrics observe
+   the same path: the spans and gauges are emitted from the bookings
+   and the chain.
 4. **Match** — a posted receive matching ``(src, tag)`` completes;
    otherwise the message joins the unexpected queue and its receiver
    will later pay the unexpected-handling cost plus a copy out of the
@@ -62,6 +60,8 @@ class Envelope:
     sent_at: float
     delivered_at: Optional[float] = None
     span: Optional[Span] = None
+    #: The collective phase span the message belongs to (tracing only).
+    phase_span: Optional[Span] = None
 
 
 @dataclass
@@ -75,8 +75,8 @@ class PostedReceive:
 
 
 class _Attempt:
-    """One short-circuited wire attempt of a message under a fault plan:
-    what settling it at the wire end, and retransmitting, need."""
+    """One wire attempt of a message under a fault plan: what settling
+    it at the wire end, and retransmitting, need."""
 
     __slots__ = ("envelope", "op", "fast", "number", "started", "fate")
 
@@ -162,122 +162,86 @@ class Transport:
                 else:
                     assert node.dma is not None
                     yield from node.dma.stream(nbytes)
-        fast = mode is not TransferMode.HOST
-        if not self._wire_fast(src, dst, nbytes, tag, op, fast):
-            self.env.process(self._wire(src, dst, nbytes, tag, op,
-                                        fast=fast, span=span,
-                                        phase_span=parent_span),
-                             name=f"wire-{src}-{dst}")
+        envelope = Envelope(src=src, dst=dst, tag=tag, nbytes=nbytes,
+                            sent_at=self.env._now, span=span,
+                            phase_span=parent_span)
+        self._wire(envelope, op, mode is not TransferMode.HOST)
 
-    # -- analytic short-circuit -------------------------------------------
-    def _wire_fast(self, src: int, dst: int, nbytes: int, tag: object,
-                   op: str, fast: bool, attempt: int = 0,
-                   envelope: Optional[Envelope] = None) -> bool:
-        """Try to carry one attempt of a message without wire processes.
+    # -- the wire ------------------------------------------------------------
+    def _wire(self, envelope: Envelope, op: str, fast: bool,
+              attempt: int = 0) -> None:
+        """Carry attempt number ``attempt`` of a message, without
+        processes.
 
-        Eligibility is checked explicitly: no fault that acts on a
-        transfer in flight
-        (:attr:`~repro.faults.FaultPlan.has_inflight_faults`: outages,
-        degradations and NIC stalls must see every hop simulated), the
-        machine's ``fast_wire`` switch on, and tracing/metrics off
-        (observability wants the real spans and gauges).  Even then
-        both NIC engines must be timestamp-bookable: a busy one rolls
-        the bookings back and returns ``False``, and the caller runs
-        the attempt loop of :meth:`_wire` from this attempt on — the
-        full path, kept as the reference the differential harness
-        compares this one against.
+        The transmit and receive engines are booked first — transmit
+        before receive, which on the SP2's half-duplex adapter is one
+        engine — and the fabric then carries the route
+        (:meth:`~repro.network.NetworkFabric.carry`).  Engines and links
+        are disjoint resources, so booking the engines first keeps
+        every per-resource FIFO order.  The wire ends when the slowest
+        of the three legs does: when the route was booked outright the
+        end is known now, else the route chain reports its release
+        (:meth:`_wire_released`).  One plain *wire-end* event, and a
+        *deliver* event after the kernel dispatch latency, then carry
+        the message on.
 
-        With the engines booked, the wire ends when the slowest of the
-        three legs does — exactly when ``all_of`` over the full path's
-        three concurrent leg processes would have fired.  When every
-        route link is idle the route is booked too and the wire end is
-        known now.  When a link is busy *at this instant*, the fabric's
-        route chain (:meth:`~repro.network.NetworkFabric.chain_route`)
-        acquires, holds and releases the route with callbacks and hands
-        back the release time (:meth:`_wire_released`).  Either way two
-        plain events replace the four processes and their resource
-        protocol: a *wire-end* event and a *deliver* event after the
-        kernel dispatch latency.  The wire end runs at once instead
-        when the route's release is already the wire end.
-
-        Without a fault plan the wire end lands the message, drawing
-        the delivery jitter at the same simulated time as the full
-        path.  Under a fate-only plan the attempt's fate is drawn once
-        the engines are booked, and the wire end settles the attempt
-        with the full path's own rules (:meth:`_settle_attempt`): a
-        delivered attempt lands, a failed one retransmits once its
-        timeout has run out, re-entering this method with the next
-        attempt index.
+        Without a fault plan the wire end lands the message.  With one,
+        the attempt's fate is drawn once its engines are booked, and
+        the wire end settles the attempt (:meth:`_settle`): a
+        delivered attempt lands; a lost, corrupted or aborted one (its
+        route found no live path, or an outage killed a link under it)
+        retransmits once its timeout has run out, re-entering this
+        method with the next attempt index.
         """
         machine = self.machine
-        injector = machine.injector
-        if not machine.fast_wire or machine.tracer.enabled or \
-                machine.metrics.enabled or (
-                    injector is not None and
-                    injector.plan.has_inflight_faults):
-            return False
         env = self.env
-        src_node = machine.nodes[src]
+        src, dst, nbytes = envelope.src, envelope.dst, envelope.nbytes
+        engines_end = machine.nodes[src].nic.book_transmit(nbytes, fast=fast)
+        # The destination drains at DMA speed when its policy offloads
+        # this collective's payloads (e.g. the Paragon coprocessor).
         dst_node = machine.nodes[dst]
-        # The transmit and receive engines are booked first: the leg
-        # processes of the full path occupy them from this instant
-        # independently of the fabric, and — on the SP2, whose
-        # half-duplex adapter shares one engine — transmit before
-        # receive, the full path's leg spawn order.  The engines and
-        # the route links are disjoint resources, so booking both
-        # engines before trying the route preserves every per-resource
-        # FIFO order.
-        tx = src_node.nic.try_book_transmit(nbytes, fast=fast)
-        if tx is None:
-            return False
         fast_rx = dst_node.payload_mode(self.spec.uses_dma_for(op),
                                         nbytes) is not TransferMode.HOST
-        rx = dst_node.nic.try_book_receive(nbytes, fast=fast_rx)
-        if rx is None:
-            tx[1].undo_occupy(tx[2])
-            return False
-        src_node.nic.commit_transmit()
-        dst_node.nic.commit_receive()
+        rx_end = dst_node.nic.book_receive(nbytes, fast=fast_rx)
+        if rx_end > engines_end:
+            engines_end = rx_end
         work = env.work
         if work is not None:
             work.resource_occupancies += 2  # the two engine bookings
-        now = env._now
-        if envelope is None:
-            envelope = Envelope(src=src, dst=dst, tag=tag, nbytes=nbytes,
-                                sent_at=now)
         ending: Union[Envelope, _Attempt] = envelope
+        injector = machine.injector
         if injector is not None:
-            ending = _Attempt(envelope, op, fast, attempt, now,
+            ending = _Attempt(envelope, op, fast, attempt, env._now,
                               injector.message_fate(src, dst))
-        engines_end = tx[0] if tx[0] > rx[0] else rx[0]
-        fabric = machine.fabric
-        routed = fabric.try_book_route(src, dst, nbytes)
-        if routed is None:
-            # Route contended: the engine bookings stand (the full
-            # path's engine legs run concurrently with the fabric leg
-            # anyway) and the route chain queues in the link FIFOs like
-            # any other transfer.
-            fabric.chain_route(src, dst, nbytes, partial(
-                self._wire_released, ending, engines_end))
-            return True
-        hold, bookings = routed
-        fabric.commit_route(bookings, nbytes, hold)
-        wire_end = now + hold
-        if engines_end > wire_end:
-            wire_end = engines_end
-        self._schedule_call(ending, wire_end, self._wire_fast_ended)
-        return True
+        try:
+            release = machine.fabric.carry(
+                src, dst, nbytes,
+                partial(self._wire_released, ending, engines_end),
+                parent_span=envelope.span)
+        except TransferAborted:
+            # No live route: the attempt dies at once, its engine
+            # bookings stand.
+            ending.fate = "aborted"
+            release = env._now
+        if release is None:
+            return  # a route chain reports the release
+        if engines_end > release:
+            release = engines_end
+        self._schedule_call(ending, release, self._wire_ended)
 
     def _wire_released(self, ending: Union[Envelope, _Attempt],
-                       engines_end: float, release: float) -> None:
-        """The route chain released the route: the wire ends at the
-        later of the release and the engine legs' ends."""
+                       engines_end: float, release: float,
+                       aborted: bool) -> None:
+        """A route chain released (or an outage aborted) the route: the
+        wire ends at the later of that and the engine legs' ends."""
+        if aborted:
+            ending.fate = "aborted"
         if engines_end > release:
-            self._schedule_call(ending, engines_end, self._wire_fast_ended)
+            self._schedule_call(ending, engines_end, self._wire_ended)
         elif ending.__class__ is Envelope:
             self._land(ending)
         else:
-            self._settle_fast(ending)
+            self._settle(ending)
 
     def _schedule_call(self, value: object, at: float,
                        callback: Callable[[Event], None]) -> None:
@@ -290,207 +254,103 @@ class Transport:
         event.callbacks.append(callback)
         self.env._schedule(event, at, NORMAL)
 
-    def _wire_fast_ended(self, event: Event) -> None:
-        """A short-circuited wire ended: land the message, or settle
-        the attempt when a fault plan drew its fate."""
+    def _wire_ended(self, event: Event) -> None:
+        """The wire ended: land the message, or settle the attempt when
+        a fault plan drew its fate."""
         ending = event._value
         if ending.__class__ is Envelope:
             self._land(ending)
         else:
-            self._settle_fast(ending)
+            self._settle(ending)
 
-    def _settle_fast(self, attempt: _Attempt) -> None:
-        """Land a delivered attempt, or retransmit once its timeout has
-        run out (at once when the wire already outlasted it)."""
-        wait = self._settle_attempt(attempt.envelope, attempt.number,
-                                    attempt.started, attempt.fate)
-        if wait is None:
-            self._land(attempt.envelope)
-        elif wait > 0:
-            # No ack will come: sit out the rest of the timeout.
-            self._schedule_call(attempt, self.env._now + wait,
-                                self._wire_fast_timed_out)
-        else:
-            self._retransmit_fast(attempt)
-
-    def _wire_fast_timed_out(self, event: Event) -> None:
-        self._retransmit_fast(event._value)
-
-    def _retransmit_fast(self, failed: _Attempt) -> None:
-        """Send the attempt after ``failed``, on the short-circuit when
-        its engines are free and through :meth:`_wire` otherwise."""
-        envelope = failed.envelope
-        self._retransmit_or_fail(envelope, failed.number)
-        attempt = failed.number + 1
-        src, dst = envelope.src, envelope.dst
-        if not self._wire_fast(src, dst, envelope.nbytes, envelope.tag,
-                               failed.op, failed.fast, attempt,
-                               envelope):
-            self.env.process(self._wire(src, dst, envelope.nbytes,
-                                        envelope.tag, failed.op,
-                                        fast=failed.fast,
-                                        attempt=attempt,
-                                        envelope=envelope),
-                             name=f"wire-{src}-{dst}")
-
-    def _land(self, envelope: Envelope) -> None:
-        """The message's tail has left the network: draw the delivery
-        jitter (at the same simulated time the full path draws it) and
-        schedule the actual delivery."""
-        env = self.env
-        deliver = Event(env)
-        deliver._ok = True
-        deliver._value = envelope
-        deliver.callbacks.append(self._deliver_fast)
-        delay = self.spec.software.deliver_us * \
-            self.machine.jitter(envelope.dst)
-        env._schedule(deliver, env._now + delay, NORMAL)
-
-    def _deliver_fast(self, event: Event) -> None:
-        envelope = event._value
-        envelope.delivered_at = self.env._now
-        self._deliver(envelope)
-
-    # -- full path ----------------------------------------------------------
-    def _wire(self, src: int, dst: int, nbytes: int, tag: object,
-              op: str, fast: bool, span: Optional[Span] = None,
-              phase_span: Optional[Span] = None, attempt: int = 0,
-              envelope: Optional[Envelope] = None
-              ) -> Generator[Event, None, None]:
-        """The full wire pipeline: the attempt loop for every message
-        (or retransmission) :meth:`_wire_fast` did not take.
-
-        Each attempt runs the three legs concurrently — transmit
-        engine, fabric transfer (the ``carry`` process), receive
-        engine — because they stream the same bytes cut-through: the
-        message is in the destination's buffer once the slowest leg
-        finishes.  Each engine is still a FIFO resource, so
-        back-to-back messages through one NIC or link serialize.
-
-        Without a fault injector there is exactly one attempt and it
-        always succeeds.  With one, every attempt draws a fate from the
-        plan's seeded stream first; a lost, corrupted, or aborted
-        attempt delivers nothing, and the sender learns of the failure
-        only when the attempt's retransmission timeout expires, then
-        retransmits — possibly over a detour if a link died meanwhile
-        (:meth:`_settle_attempt` and :meth:`_retransmit_or_fail` hold
-        the rules).  ``attempt`` and ``envelope`` continue a message
-        whose earlier attempts the short-circuit carried.
-        """
-        env = self.env
-        if envelope is None:
-            envelope = Envelope(src=src, dst=dst, tag=tag, nbytes=nbytes,
-                                sent_at=env.now, span=span)
-        machine = self.machine
-        injector = machine.injector
-        src_nic = machine.nodes[src].nic
-        dst_nic = machine.nodes[dst].nic
-        # The destination drains at DMA speed when its policy offloads
-        # this collective's payloads (e.g. the Paragon coprocessor).
-        fast_rx = machine.nodes[dst].payload_mode(
-            self.spec.uses_dma_for(op), nbytes) is not TransferMode.HOST
-        while True:
-            started = env.now
-            fate = "ok" if injector is None else \
-                injector.message_fate(src, dst)
-            aborted: List[TransferAborted] = []
-            legs = [
-                env.process(src_nic.transmit(nbytes, fast=fast)),
-                env.process(self._carry(src, dst, nbytes, span, aborted),
-                            name=f"carry-{src}-{dst}"),
-                env.process(dst_nic.receive(nbytes, fast=fast_rx)),
-            ]
-            yield env.all_of(legs)
-            if injector is None:
-                break
-            if aborted:
-                fate = "aborted"
-            wait = self._settle_attempt(envelope, attempt, started, fate)
-            if wait is None:
-                break
-            # Failed attempt: the fate is only known now, so the
-            # recovery span is opened retroactively over the wasted
-            # wire time (the tracer accepts past start times).
-            tracer = machine.tracer
-            if tracer.enabled:
-                doomed = tracer.begin(started, f"retransmit {src}->{dst}",
-                                      "retransmit", node=src, parent=span,
-                                      dst=dst, attempt=attempt,
-                                      reason=fate)
-                tracer.end(doomed, env.now)
-            # No ack will come, so the sender sits out the rest of the
-            # RTO before trying again.
-            if wait > 0:
-                if tracer.enabled:
-                    sitout = tracer.begin(
-                        env.now, f"backoff {src}->{dst}", "backoff",
-                        node=src, parent=span, dst=dst, attempt=attempt,
-                        rto_us=injector.plan.retry.timeout_for_attempt(
-                            attempt))
-                    yield env.sleep(wait)
-                    tracer.end(sitout, env.now)
-                else:
-                    yield env.sleep(wait)
-            self._retransmit_or_fail(envelope, attempt)
-            attempt += 1
-        yield env.sleep(
-            self.spec.software.deliver_us * machine.jitter(dst))
-        envelope.delivered_at = env.now
-        tracer = machine.tracer
-        if span is not None:
-            tracer.end(span, env.now)
-        if phase_span is not None:
-            # The phase lasts until its last member message lands.
-            tracer.extend(phase_span, env.now)
-        self._deliver(envelope)
-
-    # -- recovery protocol (both paths) ---------------------------------------
-    def _settle_attempt(self, envelope: Envelope, attempt: int,
-                        started: float, fate: str) -> Optional[float]:
+    def _settle(self, attempt: _Attempt) -> None:
         """Judge a finished attempt under a fault plan.
 
-        Returns ``None`` when ``fate`` is ``"ok"`` (delivered); if wire
-        plus ack return exceeded the RTO, the real protocol would have
-        retransmitted needlessly, which is counted but not re-run.
-        Otherwise returns how long the sender still waits for the
-        attempt's timeout (exponential backoff, bounded) before it
-        retransmits; zero or less means at once.
+        A delivered attempt lands; if its wire time plus the ack's
+        return exceeded the RTO, the real protocol would have
+        retransmitted needlessly, which is counted but not re-run.  A
+        failed one retransmits once the rest of its timeout (exponential
+        backoff, bounded) has run out — at once when the wire already
+        outlasted it.
         """
         injector = self.machine.injector
         retry = injector.plan.retry
-        rto = retry.timeout_for_attempt(attempt)
-        wire_us = self.env._now - started
-        if fate == "ok":
+        rto = retry.timeout_for_attempt(attempt.number)
+        envelope = attempt.envelope
+        wire_us = self.env._now - attempt.started
+        if attempt.fate == "ok":
             ack_us = self.machine.fabric.transfer_time(
                 envelope.dst, envelope.src, retry.ack_bytes)
             if wire_us + ack_us > rto:
                 injector.record_spurious_retransmit()
-            return None
-        return rto - wire_us
+            self._land(envelope)
+            return
+        wait = rto - wire_us
+        if self.machine.tracer.enabled:
+            self._trace_failed(attempt, rto, wait)
+        if wait > 0:
+            # No ack will come: sit out the rest of the timeout.
+            self._schedule_call(attempt, self.env._now + wait,
+                                self._wire_timed_out)
+        else:
+            self._retransmit(attempt)
 
-    def _retransmit_or_fail(self, envelope: Envelope, attempt: int) -> None:
-        """The timeout of failed ``attempt`` ran out: count the
-        retransmission, or raise :class:`DeliveryError` once
-        ``max_retries`` retransmissions are spent."""
+    def _trace_failed(self, attempt: _Attempt, rto: float,
+                      wait: float) -> None:
+        """Spans of a failed attempt, opened now that its fate is known:
+        the wasted wire time, then the sit-out of its timeout."""
+        tracer = self.machine.tracer
+        envelope = attempt.envelope
+        src, dst = envelope.src, envelope.dst
+        now = self.env._now
+        doomed = tracer.begin(attempt.started, f"retransmit {src}->{dst}",
+                              "retransmit", node=src, parent=envelope.span,
+                              dst=dst, attempt=attempt.number,
+                              reason=attempt.fate)
+        tracer.end(doomed, now)
+        if wait > 0:
+            sitout = tracer.begin(now, f"backoff {src}->{dst}", "backoff",
+                                  node=src, parent=envelope.span, dst=dst,
+                                  attempt=attempt.number, rto_us=rto)
+            tracer.end(sitout, now + wait)
+
+    def _wire_timed_out(self, event: Event) -> None:
+        self._retransmit(event._value)
+
+    def _retransmit(self, failed: _Attempt) -> None:
+        """The timeout of ``failed`` ran out: send the next attempt, or
+        raise :class:`DeliveryError` once ``max_retries``
+        retransmissions are spent."""
+        envelope = failed.envelope
         injector = self.machine.injector
-        if attempt >= injector.plan.retry.max_retries:
+        if failed.number >= injector.plan.retry.max_retries:
             raise DeliveryError(envelope.src, envelope.dst, envelope.tag,
-                                attempt + 1)
+                                failed.number + 1)
         injector.record_retransmit()
         work = self.env.work
         if work is not None:
             work.retransmissions += 1
+        self._wire(envelope, failed.op, failed.fast, failed.number + 1)
 
-    def _carry(self, src: int, dst: int, nbytes: int,
-               span: Optional[Span], aborted: List[TransferAborted]
-               ) -> Generator[Event, None, None]:
-        """The fabric leg of one attempt; an abort (only a fault plan
-        can cause one) is recorded for the attempt loop, not raised."""
-        try:
-            yield from self.machine.fabric.transfer(src, dst, nbytes,
-                                                    parent_span=span)
-        except TransferAborted as failure:
-            aborted.append(failure)
+    def _land(self, envelope: Envelope) -> None:
+        """The message's tail has left the network: draw the delivery
+        jitter and schedule the actual delivery."""
+        delay = self.spec.software.deliver_us * \
+            self.machine.jitter(envelope.dst)
+        self._schedule_call(envelope, self.env._now + delay,
+                            self._delivered)
+
+    def _delivered(self, event: Event) -> None:
+        envelope = event._value
+        now = self.env._now
+        envelope.delivered_at = now
+        if envelope.span is not None:
+            tracer = self.machine.tracer
+            tracer.end(envelope.span, now)
+            if envelope.phase_span is not None:
+                # The phase lasts until its last member message lands.
+                tracer.extend(envelope.phase_span, now)
+        self._deliver(envelope)
 
     def _deliver(self, envelope: Envelope) -> None:
         profiler = self.env.profiler

@@ -40,7 +40,6 @@ class MpiWorld:
                  trace: bool = False, metrics: bool = False,
                  cpu_slowdown: Optional[dict] = None,
                  faults: Optional[FaultPlan] = None,
-                 fast_wire: bool = True,
                  decision_table: Optional[Any] = None):
         spec = get_machine_spec(machine) if isinstance(machine, str) \
             else machine
@@ -54,8 +53,7 @@ class MpiWorld:
                                streams=self.streams, tracer=self.tracer,
                                contention=contention,
                                cpu_slowdown=cpu_slowdown,
-                               metrics=self.metrics, faults=faults,
-                               fast_wire=fast_wire)
+                               metrics=self.metrics, faults=faults)
         self.comm = Communicator(self.machine)
 
     @property

@@ -14,36 +14,41 @@ Deadlock freedom: links are always acquired in one global canonical
 order (their index in ``topology.links()``), so no cyclic wait can
 arise regardless of topology or traffic pattern.
 
-Contended routes without processes: a transfer the transport's
-short-circuit could not book (some route link busy at issue) is carried
-by :meth:`NetworkFabric.chain_route`, a chain of callbacks that
-acquires the route's links in canonical order — granting each in place
-(:meth:`~repro.sim.Resource.try_grant`) when its grant event would have
-been the next one popped, else through the request/grant protocol —
-holds them, and releases them.  Its events sit where a process running
-:meth:`NetworkFabric.transfer` would schedule its own, minus the
-skipped grants, so times and FIFO orders are the process path's.
+One wire, no processes: :meth:`NetworkFabric.carry` takes every
+transfer.  A route whose links are all idle at issue is booked with
+timestamps, so its release time is known at once.  Any other route — a
+link is busy, or a planned outage can kill a link of it mid-flight — is
+carried by a route chain, callbacks that acquire the links in
+canonical order (granting each in place with
+:meth:`~repro.sim.Resource.try_grant` when its grant event would have
+been the next one popped, else through the request/grant protocol),
+hold them and release them.  The chain's events sit where a process
+acquiring the route would schedule its own, minus the skipped grants,
+so times and FIFO orders are a process's.
+
+Faults act on the transfer where it happens: the route detours around
+dead links at issue (an unroutable transfer raises
+:class:`TransferAborted` at once), a degradation active at issue
+stretches the hold, and an outage aborts the chains that cross its
+link (the injector calls :meth:`_RouteChain.abort`).
 
 Observability: every link accumulates busy/wait time (see
-:class:`~repro.network.link.Link`), transfers emit ``link``-category
-occupancy spans nested under the message span when tracing is on, and
-the fabric feeds transfer/stall counters and wait/size histograms to
-the machine's metrics registry.
+:class:`~repro.network.link.Link`); the booking and the chain open
+``link``-category occupancy spans (under a ``reroute`` span for a
+detour) nested in the message span, emit a ``link-contention`` record
+for a transfer that waited, and feed transfer/stall counters and
+wait/size histograms to the machine's metrics registry.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Generator, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from ..obs.metrics import MetricsRegistry
-from ..sim import Environment, Event, Interrupt, Request, Span, Tracer
+from ..sim import Environment, Event, Request, Span, Tracer
 from ..sim.engine import NORMAL, URGENT
 from .link import Link, LinkParameters
 from .topology import LinkId, Topology
-
-#: A rolled-back-able set of link bookings: ``(link, previous_busy_until)``
-#: per link, in canonical acquisition order.
-RouteBooking = List[Tuple[Link, float]]
 
 __all__ = ["NetworkFabric", "TransferAborted"]
 
@@ -122,13 +127,11 @@ class NetworkFabric:
 
     def _select_route(self, src: int, dst: int
                       ) -> Tuple[List[LinkId], bool]:
-        """The route a transfer issued now takes, detouring around any
-        dead links, plus whether it is a detour.  Raises
-        :class:`TransferAborted` when the live links no longer connect
-        the pair."""
+        """The route a transfer issued now takes under a fault plan,
+        detouring around any dead links, plus whether it is a detour.
+        Raises :class:`TransferAborted` when the live links no longer
+        connect the pair."""
         injector = self.injector
-        if injector is None:
-            return self._route(src, dst), False
         dead = injector.dead_links(self.env.now)
         route = self._route(src, dst)
         if not dead or not any(link in dead for link in route):
@@ -140,207 +143,132 @@ class NetworkFabric:
         injector.record_reroute()
         return detour, True
 
-    # -- synchronous fast-path booking ------------------------------------
-    def try_book_route(self, src: int, dst: int, nbytes: int
-                       ) -> Optional[Tuple[float, RouteBooking]]:
-        """Book every link of an *uncontended* transfer starting now.
+    # -- carrying transfers -------------------------------------------------
+    def carry(self, src: int, dst: int, nbytes: int,
+              on_release: Callable[[float, bool], None],
+              parent_span: Optional[Span] = None) -> Optional[float]:
+        """Carry one ``src`` -> ``dst`` transfer issued now.
 
-        Synchronous counterpart of :meth:`transfer` for the analytic
-        short-circuit: only callable when no planned fault acts on a
-        transfer in flight (no outage or degradation; the caller
-        checks), and only succeeds when every link on the route is idle
-        at the current instant — any busy or booked link rolls the
-        whole attempt back and returns ``None``, forcing the full
-        simulation path (which is where contention waits, stall
-        counters, and spans live).  Returns ``(hold, bookings)``; the
-        caller must finish with :meth:`commit_route` (success) or
-        :meth:`undo_route` (a later leg of its own booking failed).
-        No counters or link statistics are touched until commit.
+        The route is chosen now (:meth:`_select_route`: around dead
+        links, raising :class:`TransferAborted` when none is left) and
+        held for ``hops * hop_latency + nbytes * us_per_byte``, the
+        per-byte term stretched by the route's worst degradation active
+        now.  When every route link is idle now, the whole route is
+        booked with timestamps and the time the message's tail leaves
+        the network is returned.  Otherwise — a link is busy, or the
+        route crosses a link a planned outage can kill mid-flight — a
+        route chain (:class:`_RouteChain`) acquires, holds and releases
+        the links with callbacks and ends by calling
+        ``on_release(release_time, aborted)``; this returns ``None``.
+        ``parent_span`` (the message span) is the parent of the link
+        and reroute spans.
         """
-        links = self._route_links(src, dst)
+        if nbytes < 0:
+            raise ValueError(f"negative transfer size {nbytes}")
+        env = self.env
+        now = env._now
+        injector = self.injector
+        detoured = False
+        factor = 1.0
+        abortable = False
+        if injector is None or not injector.acts_on_links:
+            links = self._route_links(src, dst)
+        else:
+            route, detoured = self._select_route(src, dst)
+            if detoured:
+                links = [self._links[link_id] for link_id in sorted(
+                    route, key=self._order.__getitem__)]
+            else:
+                links = self._route_links(src, dst)
+            factor = injector.route_degrade_factor(route, now)
+            abortable = injector.watches(route)
+        work = env.work
+        if work is not None:
+            work.transfers_booked += 1
+            if detoured:
+                work.transfers_rerouted += 1
         if not links:
-            return 0.0, []
+            if work is not None:
+                work.transfers_completed += 1
+                work.transfers_shortcircuited += 1
+            return now
         hold = len(links) * self.params.hop_latency_us + \
-            nbytes * self.params.us_per_byte
+            nbytes * self.params.us_per_byte * factor
+        tracer = self.tracer
+        detour_span: Optional[Span] = None
+        if detoured and tracer.enabled:
+            # A detour is fault-recovery work: its link occupancy nests
+            # in a dedicated span so the extra hops are attributable.
+            detour_span = tracer.begin(
+                now, f"reroute {src}->{dst}", "reroute", node=src,
+                parent=parent_span, dst=dst, nbytes=nbytes,
+                hops=len(links))
+            parent_span = detour_span
         if not self.contention:
-            return hold, []
+            links = []
+        if abortable or not self._book_route(links, hold):
+            _RouteChain(self, src, dst, nbytes, links, hold,
+                        route if abortable else None, parent_span,
+                        detour_span, on_release)
+            return None
+        release = now + hold
+        if work is not None:
+            work.resource_occupancies += len(links)
+            work.transfers_completed += 1
+            work.transfers_shortcircuited += 1
+        if links:
+            for link in links:
+                link.record(nbytes, busy_us=hold)
+            for span in self._acquired(src, dst, nbytes, links, 0.0,
+                                       parent_span):
+                tracer.end(span, release)
+        if detour_span is not None:
+            tracer.end(detour_span, release)
+        return release
+
+    def _book_route(self, links: List[Link], hold: float) -> bool:
+        """Book every link for ``hold`` from now, or none of them:
+        ``False`` when one is held, queued for, or booked past now."""
         now = self.env._now
-        bookings: RouteBooking = []
+        booked: List[Tuple[Link, float]] = []
         for link in links:
             booking = link.resource.try_occupy(hold)
             if booking is None or booking[0] != now:
                 if booking is not None:
                     link.resource.undo_occupy(booking[1])
-                self.undo_route(bookings)
-                return None
-            bookings.append((link, booking[1]))
-        return hold, bookings
+                for done, previous in reversed(booked):
+                    done.resource.undo_occupy(previous)
+                return False
+            booked.append((link, booking[1]))
+        return True
 
-    def undo_route(self, bookings: RouteBooking) -> None:
-        """Roll back a :meth:`try_book_route` booking (synchronously)."""
-        for link, previous in reversed(bookings):
-            link.resource.undo_occupy(previous)
-
-    def commit_route(self, bookings: RouteBooking, nbytes: int,
-                     hold: float) -> None:
-        """Commit a booking: link statistics and work counters."""
-        for link, _ in bookings:
-            link.record(nbytes, busy_us=hold)
+    def _acquired(self, src: int, dst: int, nbytes: int, links: List[Link],
+                  wait: float, parent_span: Optional[Span]) -> List[Span]:
+        """A transfer holds its whole route from now on, after waiting
+        ``wait`` for it: count the acquisition, feed the metrics and the
+        contention record, and open one span per link."""
         work = self.env.work
         if work is not None:
-            if bookings:
-                work.link_acquisitions += len(bookings)
-                work.resource_occupancies += len(bookings)
-            work.transfers_booked += 1
-            work.transfers_completed += 1
-            work.transfers_shortcircuited += 1
-
-    def chain_route(self, src: int, dst: int, nbytes: int,
-                    on_release: Callable[[float], None]) -> None:
-        """Carry a transfer :meth:`try_book_route` refused, without a
-        process.
-
-        Same preconditions as :meth:`try_book_route` (no in-flight
-        faults, no tracing or metrics), and only for a non-empty
-        route with contention on — the only routes that booking can
-        refuse.  The transfer starts from one event at ``(now,
-        URGENT)``, where a process's first step would run, and ends by
-        calling ``on_release(release_time)`` once every link is
-        released.  Work counters and link statistics move exactly as
-        under :meth:`transfer`.
-        """
-        _RouteChain(self, src, dst, nbytes, on_release)
-
-    def transfer(self, src: int, dst: int, nbytes: int,
-                 parent_span: Optional[Span] = None
-                 ) -> Generator[Event, None, None]:
-        """Process generator performing one ``src`` -> ``dst`` transfer.
-
-        Yields until the message's tail has left the network.  A
-        self-transfer (``src == dst``) completes immediately: it never
-        enters the fabric.  ``parent_span`` (the enclosing message
-        span) becomes the parent of the per-link occupancy spans.
-
-        With a fault injector attached, the route detours around dead
-        links, per-byte time stretches by the worst active degradation
-        on the route, and a link dying mid-flight aborts the transfer
-        with :class:`TransferAborted` (the injector interrupts this
-        process; held links are released first).
-        """
-        if nbytes < 0:
-            raise ValueError(f"negative transfer size {nbytes}")
-        injector = self.injector
-        profiler = self.env.profiler
-        if profiler is None:
-            route, detoured = self._select_route(src, dst)
-        else:
-            profiler.enter("fabric.route")
-            try:
-                route, detoured = self._select_route(src, dst)
-            finally:
-                profiler.leave()
-        work = self.env.work
-        if work is not None:
-            work.transfers_booked += 1
-            if detoured:
-                work.transfers_rerouted += 1
-        if not route:
-            if work is not None:
-                work.transfers_completed += 1
-            return
-        # A detour is fault-recovery work: wrap its link occupancy in a
-        # dedicated span so the extra hops are attributable.
-        detour_span: Optional[Span] = None
-        if detoured and self.tracer.enabled:
-            detour_span = self.tracer.begin(
-                self.env.now, f"reroute {src}->{dst}", "reroute",
-                node=src, parent=parent_span, dst=dst, nbytes=nbytes,
-                hops=len(route))
-            parent_span = detour_span
-        factor = 1.0 if injector is None else \
-            injector.route_degrade_factor(route, self.env.now)
-        hold = len(route) * self.params.hop_latency_us + \
-            nbytes * self.params.us_per_byte * factor
-        if injector is None:
-            yield from self._occupy(route, nbytes, hold, src, dst,
-                                    parent_span)
-            return
-        process = self.env.active_process
-        injector.begin_transfer(process, route)
-        try:
-            yield from self._occupy(route, nbytes, hold, src, dst,
-                                    parent_span)
-        except Interrupt as interrupt:
-            injector.record_abort()
-            if work is not None:
-                work.transfers_aborted += 1
-            raise TransferAborted(src, dst,
-                                  f"interrupted: {interrupt.cause}")
-        finally:
-            injector.end_transfer(process)
-            if detour_span is not None:
-                self.tracer.end(detour_span, self.env.now)
-
-    def _occupy(self, route: List[LinkId], nbytes: int, hold: float,
-                src: int, dst: int, parent_span: Optional[Span]
-                ) -> Generator[Event, None, None]:
-        """Acquire the route, hold it, release it.  On an Interrupt
-        every acquired (or still queued) request is released before the
-        exception propagates, so a dying transfer never wedges a link."""
-        work = self.env.work
-        if not self.contention:
-            yield self.env.sleep(hold)
-            if work is not None:
-                work.transfers_completed += 1
-            return
-        ordered = sorted(route, key=self._order.__getitem__)
-        requests: List[Tuple[LinkId, Event]] = []
-        occupancy: List[Span] = []
-        queued_at = self.env.now
-        try:
-            for link_id in ordered:
-                arrived = self.env.now
-                request = self._links[link_id].resource.request()
-                requests.append((link_id, request))
-                yield request
-                link_wait = self.env.now - arrived
-                if link_wait > 0:
-                    self._links[link_id].record_wait(link_wait)
-            wait = self.env.now - queued_at
-            if work is not None:
-                work.link_acquisitions += len(ordered)
-                if wait > 0:
-                    work.transfers_stalled += 1
-            metrics = self.metrics
-            if metrics.enabled:
-                metrics.counter("fabric.transfers").inc()
-                metrics.histogram("fabric.transfer_bytes").observe(nbytes)
-                if wait > 0:
-                    metrics.counter("fabric.contention_stalls").inc()
-                    metrics.histogram("fabric.wait_us").observe(wait)
+            work.link_acquisitions += len(links)
             if wait > 0:
-                self.tracer.emit(self.env.now, "link-contention", src,
-                                 dst=dst, waited_us=wait, nbytes=nbytes)
-            if self.tracer.enabled:
-                occupancy = [
-                    self.tracer.begin(self.env.now, f"link {link_id}",
-                                      "link", node=src, parent=parent_span,
-                                      dst=dst, nbytes=nbytes)
-                    for link_id, _ in requests]
-            yield self.env.sleep(hold)
-        except Interrupt:
-            for link_id, request in requests:
-                self._links[link_id].resource.release(request)
-            for span in occupancy:
-                self.tracer.end(span, self.env.now)
-            raise
-        for link_id, request in requests:
-            self._links[link_id].record(nbytes, busy_us=hold)
-            self._links[link_id].resource.release(request)
-        for span in occupancy:
-            self.tracer.end(span, self.env.now)
-        if work is not None:
-            work.transfers_completed += 1
+                work.transfers_stalled += 1
+        metrics = self.metrics
+        if metrics.enabled:
+            metrics.counter("fabric.transfers").inc()
+            metrics.histogram("fabric.transfer_bytes").observe(nbytes)
+            if wait > 0:
+                metrics.counter("fabric.contention_stalls").inc()
+                metrics.histogram("fabric.wait_us").observe(wait)
+        tracer = self.tracer
+        if not tracer.enabled:
+            return []
+        now = self.env._now
+        if wait > 0:
+            tracer.emit(now, "link-contention", src, dst=dst,
+                        waited_us=wait, nbytes=nbytes)
+        return [tracer.begin(now, f"link {link.link_id}", "link", node=src,
+                             parent=parent_span, dst=dst, nbytes=nbytes)
+                for link in links]
 
     def utilisation(self) -> Dict[LinkId, int]:
         """Bytes carried per link (only meaningful with contention on)."""
@@ -350,46 +278,68 @@ class NetworkFabric:
 
 
 class _RouteChain:
-    """One contended transfer, carried by callbacks instead of a process.
+    """One transfer carried by callbacks instead of a process.
 
-    The steps are those of :meth:`NetworkFabric._occupy`: request the
-    links in canonical order, each grant advancing to the next link;
-    hold the whole route for ``hold``; record and release every link.
-    A link whose grant event would have been the next one popped is
-    granted in place (:meth:`~repro.sim.Resource.try_grant`); the
-    chain's callbacks are always the sole callback of their event,
-    which that rule requires.  Any other link goes through
-    :meth:`~repro.sim.Resource.request` and a grant callback, queueing
-    in its FIFO like a process would.
+    It requests the route's links in canonical order, each grant
+    advancing to the next link; holds the whole route for ``hold``;
+    then records and releases every link.  A link whose grant event
+    would have been the next one popped is granted in place
+    (:meth:`~repro.sim.Resource.try_grant`); the chain's callbacks are
+    always the sole callback of their event, which that rule requires.
+    Any other link goes through :meth:`~repro.sim.Resource.request` and
+    a grant callback, queueing in its FIFO.  The chain starts from one
+    event at ``(now, URGENT)``, so its events sit where a process's
+    would, minus the skipped grants.
+
+    A chain whose route crosses a link a planned outage can kill
+    (``route`` given) is registered with the fault injector while it is
+    in flight; when the link dies the injector calls :meth:`abort`, and
+    the chain releases its held and queued links and ends aborted.
     """
 
-    __slots__ = ("fabric", "nbytes", "on_release", "links", "hold",
-                 "requests", "queued_at", "asked_at")
+    __slots__ = ("fabric", "src", "dst", "nbytes", "links", "hold",
+                 "route", "span", "detour_span", "on_release", "requests",
+                 "queued_at", "asked_at", "link_spans", "done")
 
     #: The engine profiler names a callback's site after its owner's
     #: ``name``: the chain's callbacks are fabric route work.
     name = "fabric.route"
 
     def __init__(self, fabric: NetworkFabric, src: int, dst: int,
-                 nbytes: int, on_release: Callable[[float], None]):
+                 nbytes: int, links: List[Link], hold: float,
+                 route: Optional[List[LinkId]], span: Optional[Span],
+                 detour_span: Optional[Span],
+                 on_release: Callable[[float, bool], None]):
         env = fabric.env
-        work = env.work
-        if work is not None:
-            work.transfers_booked += 1
         self.fabric = fabric
+        self.src = src
+        self.dst = dst
         self.nbytes = nbytes
+        self.links = links
+        self.hold = hold
+        self.route = route
+        self.span = span
+        self.detour_span = detour_span
         self.on_release = on_release
-        self.links = fabric._route_links(src, dst)
-        self.hold = len(self.links) * fabric.params.hop_latency_us + \
-            nbytes * fabric.params.us_per_byte
         self.requests: List[Request] = []
+        self.link_spans: List[Span] = []
+        self.done = False
         self.queued_at = env._now
-        start = Event(env)
-        start._ok = True
-        start.callbacks.append(self._acquire)
-        env._schedule(start, env._now, URGENT)
+        if route is not None:
+            fabric.injector.begin_transfer(self, route)
+        self._schedule(env._now, URGENT, self._acquire)
+
+    def _schedule(self, at: float, priority: int,
+                  callback: Callable[[Event], None]) -> None:
+        env = self.fabric.env
+        event = Event(env)
+        event._ok = True
+        event.callbacks.append(callback)
+        env._schedule(event, at, priority)
 
     def _granted(self, _event: Event) -> None:
+        if self.done:
+            return
         link_wait = self.fabric.env._now - self.asked_at
         if link_wait > 0:
             self.links[len(self.requests) - 1].record_wait(link_wait)
@@ -397,7 +347,10 @@ class _RouteChain:
 
     def _acquire(self, _event: Event) -> None:
         """Take links until one must be waited for, then hold the route."""
-        env = self.fabric.env
+        if self.done:
+            return
+        fabric = self.fabric
+        env = fabric.env
         links = self.links
         requests = self.requests
         while len(requests) < len(links):
@@ -411,24 +364,52 @@ class _RouteChain:
                 return
             requests.append(request)
         now = env._now
-        work = env.work
-        if work is not None:
-            work.link_acquisitions += len(links)
-            if now - self.queued_at > 0:
-                work.transfers_stalled += 1
-        held = Event(env)
-        held._ok = True
-        held.callbacks.append(self._release)
-        env._schedule(held, now + self.hold, NORMAL)
+        if links:
+            self.link_spans = fabric._acquired(
+                self.src, self.dst, self.nbytes, links,
+                now - self.queued_at, self.span)
+        self._schedule(now + self.hold, NORMAL, self._release)
 
     def _release(self, _event: Event) -> None:
+        if self.done:
+            return
         nbytes = self.nbytes
         hold = self.hold
         for link, request in zip(self.links, self.requests):
             link.record(nbytes, busy_us=hold)
             link.resource.release(request)
-        env = self.fabric.env
-        work = env.work
+        work = self.fabric.env.work
         if work is not None:
             work.transfers_completed += 1
-        self.on_release(env._now)
+        self._end(False)
+
+    def abort(self) -> None:
+        """A link of the route died: abort at the current instant, in
+        one event of its own at ``(now, URGENT)``."""
+        self._schedule(self.fabric.env._now, URGENT, self._aborted)
+
+    def _aborted(self, _event: Event) -> None:
+        if self.done:
+            return
+        for link, request in zip(self.links, self.requests):
+            link.resource.release(request)
+        fabric = self.fabric
+        fabric.injector.record_abort()
+        work = fabric.env.work
+        if work is not None:
+            work.transfers_aborted += 1
+        self._end(True)
+
+    def _end(self, aborted: bool) -> None:
+        """Close the spans, leave the injector, report the release."""
+        self.done = True
+        fabric = self.fabric
+        now = fabric.env._now
+        tracer = fabric.tracer
+        for span in self.link_spans:
+            tracer.end(span, now)
+        if self.detour_span is not None:
+            tracer.end(self.detour_span, now)
+        if self.route is not None:
+            fabric.injector.end_transfer(self)
+        self.on_release(now, aborted)

@@ -68,6 +68,8 @@ class DmaEngine:
         self.metrics = metrics if metrics is not None \
             else MetricsRegistry(enabled=False)
         self._engine = Resource(env, capacity=1)
+        if self.metrics.enabled:
+            self._engine.track_bookings()
         self.bytes_streamed = 0
 
     def applicable(self, nbytes: int) -> bool:
@@ -75,32 +77,26 @@ class DmaEngine:
         return nbytes >= self.params.min_message_bytes
 
     def stream(self, nbytes: int) -> Generator[Event, None, None]:
-        """Process generator: move ``nbytes`` through the engine."""
+        """Process generator: move ``nbytes`` through the engine.
+
+        The engine is booked with a timestamp (one completion event, no
+        request/grant/release), back-to-back after the transfers booked
+        before it.
+        """
         if nbytes < 0:
             raise ValueError(f"negative stream size {nbytes}")
         env = self.env
-        if not self.metrics.enabled:
-            # Engine idle or contiguously booked: one booking + one
-            # completion event instead of request/grant/release churn.
-            duration = self.params.setup_us + \
-                nbytes * self.params.us_per_byte
-            booking = self._engine.try_occupy(duration)
-            if booking is not None:
-                work = env.work
-                if work is not None:
-                    work.resource_occupancies += 1
-                yield env.sleep_until(booking[0] + duration)
-                self.bytes_streamed += nbytes
-                return
-        request = self._engine.request()
+        engine = self._engine
+        duration = self.params.setup_us + nbytes * self.params.us_per_byte
+        start, _ = engine.try_occupy(duration)
         metrics = self.metrics
         if metrics.enabled:
-            metrics.gauge("dma.queue_depth").set(
-                self._engine.queue_length)
+            # Streams waiting for the engine, this one included.
+            metrics.gauge("dma.queue_depth").set(engine.pending_bookings)
             metrics.counter("dma.streams").inc()
             metrics.counter("dma.bytes").inc(nbytes)
-        yield request
-        yield env.sleep(
-            self.params.setup_us + nbytes * self.params.us_per_byte)
+        work = env.work
+        if work is not None:
+            work.resource_occupancies += 1
+        yield env.sleep_until(start + duration)
         self.bytes_streamed += nbytes
-        self._engine.release(request)

@@ -39,37 +39,34 @@ class MemorySystem:
         self.metrics = metrics if metrics is not None \
             else MetricsRegistry(enabled=False)
         self.bus = Resource(env, capacity=1)
+        if self.metrics.enabled:
+            self.bus.track_bookings()
         self._touched: Set[Hashable] = set()
         self.bytes_copied = 0
 
     def copy(self, nbytes: int) -> Generator[Event, None, None]:
-        """Process generator: copy ``nbytes`` through the memory bus."""
+        """Process generator: copy ``nbytes`` through the memory bus.
+
+        The bus is booked with a timestamp and the caller sleeps to the
+        booking's end, back-to-back after the copies booked before it.
+        """
         if nbytes < 0:
             raise ValueError(f"negative copy size {nbytes}")
         env = self.env
-        if not self.metrics.enabled:
-            # Bus idle or contiguously booked: book the interval and
-            # sleep to its end instead of request/grant/release.
-            duration = nbytes * self.copy_us_per_byte
-            booking = self.bus.try_occupy(duration)
-            if booking is not None:
-                work = env.work
-                if work is not None:
-                    work.resource_occupancies += 1
-                yield env.sleep_until(booking[0] + duration)
-                self.bytes_copied += nbytes
-                return
-        request = self.bus.request()
+        bus = self.bus
+        duration = nbytes * self.copy_us_per_byte
+        start, _ = bus.try_occupy(duration)
         metrics = self.metrics
         if metrics.enabled:
-            metrics.gauge("mem.bus.queue_depth").set(
-                self.bus.queue_length)
+            # Copies waiting for the bus, this one included.
+            metrics.gauge("mem.bus.queue_depth").set(bus.pending_bookings)
             metrics.counter("mem.copies").inc()
             metrics.counter("mem.bytes_copied").inc(nbytes)
-        yield request
-        yield env.sleep(nbytes * self.copy_us_per_byte)
+        work = env.work
+        if work is not None:
+            work.resource_occupancies += 1
+        yield env.sleep_until(start + duration)
         self.bytes_copied += nbytes
-        self.bus.release(request)
 
     def first_touch_penalty(self, key: Hashable, nbytes: int) -> float:
         """Cold-start cost for working set ``key``; zero once warm."""

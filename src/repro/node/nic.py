@@ -9,15 +9,20 @@ struggles with the bidirectional traffic of a total exchange
 
 Engine occupancy is what creates root-side serialization in gather
 (the root's receive engine handles p-1 messages one after another) and
-source-side serialization in scatter.
+source-side serialization in scatter.  Only the NIC itself uses its
+engines, so every message books them with timestamps
+(:meth:`~repro.sim.Resource.try_occupy`) instead of requesting them:
+the booking ends where a FIFO-granted holder would have released.  A
+planned NIC stall is part of the booking: an engine granted inside the
+stall window holds for the rest of the window before the message.
 """
 
 from __future__ import annotations
 
-from typing import Generator, Optional, Tuple
+from typing import Optional
 
 from ..obs.metrics import MetricsRegistry
-from ..sim import Environment, Event, Resource
+from ..sim import Environment, Resource
 
 __all__ = ["Nic"]
 
@@ -55,6 +60,9 @@ class Nic:
         self.injector = injector
         self._tx = Resource(env, capacity=1)
         self._rx = self._tx if half_duplex else Resource(env, capacity=1)
+        if self.metrics.enabled:
+            self._tx.track_bookings()
+            self._rx.track_bookings()
         self.messages_sent = 0
         self.messages_received = 0
 
@@ -68,97 +76,51 @@ class Nic:
         per_byte = self.fast_us_per_byte if fast else self.us_per_byte
         return self.per_message_us + nbytes * per_byte
 
-    # -- synchronous booking fast path ------------------------------------
-    def try_book_transmit(self, nbytes: int, fast: bool = False
-                          ) -> Optional[Tuple[float, Resource, float]]:
-        """Timestamp-book the transmit engine for one message.
+    # -- engine bookings --------------------------------------------------
+    def book_transmit(self, nbytes: int, fast: bool = False) -> float:
+        """Book the transmit engine for one message; return when it
+        frees up.
 
-        Returns ``(end_time, engine, previous_busy_until)`` — the
-        latter two so the caller can roll back with
-        ``engine.undo_occupy(previous)`` — or ``None`` when the engine
-        has queued/granted requests and the protocol path must be used.
-        The booking may start at the end of an earlier booking (the
-        engine stays contiguously busy), exactly where a queued request
-        would have been granted, so the end time is unchanged from full
-        simulation.  Commit with :meth:`commit_transmit`.
+        The booking starts now, or back-to-back at the end of the
+        engine's previous booking — exactly where a FIFO request would
+        have been granted.
         """
-        return self._try_book(self._tx, nbytes, fast)
+        end = self._book(self._tx, nbytes, fast, "nic.tx")
+        self.messages_sent += 1
+        return end
 
-    def try_book_receive(self, nbytes: int, fast: bool = False
-                         ) -> Optional[Tuple[float, Resource, float]]:
-        """Timestamp-book the receive engine (see :meth:`try_book_transmit`).
+    def book_receive(self, nbytes: int, fast: bool = False) -> float:
+        """Book the receive engine (see :meth:`book_transmit`).
 
         On a half-duplex adapter this is the *same* engine as transmit,
-        so a transmit booked first pushes the receive booking after it
-        — the FIFO order the concurrent wire legs would have produced.
+        so a transmit booked first pushes the receive booking after it.
         """
-        return self._try_book(self._rx, nbytes, fast)
+        end = self._book(self._rx, nbytes, fast, "nic.rx")
+        self.messages_received += 1
+        return end
 
-    def _try_book(self, engine: Resource, nbytes: int, fast: bool
-                  ) -> Optional[Tuple[float, Resource, float]]:
-        # Metrics want the queue-depth gauge of the request path, and
-        # a stall (or any other in-flight fault) must see the grant.
+    def _book(self, engine: Resource, nbytes: int, fast: bool,
+              label: str) -> float:
+        if nbytes < 0:
+            raise ValueError(f"negative message size {nbytes}")
+        occupancy = self.occupancy_us(nbytes, fast)
+        stall = 0.0
         injector = self.injector
-        if self.metrics.enabled or (
-                injector is not None and injector.plan.has_inflight_faults):
-            return None
-        if nbytes < 0:
-            raise ValueError(f"negative message size {nbytes}")
-        duration = self.occupancy_us(nbytes, fast)
-        booking = engine.try_occupy(duration)
-        if booking is None:
-            return None
-        start, previous = booking
-        return start + duration, engine, previous
-
-    def commit_transmit(self) -> None:
-        """Account one fast-booked transmit."""
-        self.messages_sent += 1
-
-    def commit_receive(self) -> None:
-        """Account one fast-booked receive."""
-        self.messages_received += 1
-
-    def transmit(self, nbytes: int,
-                 fast: bool = False) -> Generator[Event, None, None]:
-        """Process generator: occupy the transmit engine for one message."""
-        yield from self._occupy(self._tx, nbytes, fast, "nic.tx")
-        self.messages_sent += 1
-
-    def receive(self, nbytes: int,
-                fast: bool = False) -> Generator[Event, None, None]:
-        """Process generator: occupy the receive engine for one message."""
-        yield from self._occupy(self._rx, nbytes, fast, "nic.rx")
-        self.messages_received += 1
-
-    def _occupy(self, engine: Resource, nbytes: int, fast: bool,
-                label: str) -> Generator[Event, None, None]:
-        if nbytes < 0:
-            raise ValueError(f"negative message size {nbytes}")
-        env = self.env
-        # Engine idle or contiguously booked: one booking + one
-        # completion event instead of request/grant/release churn.
-        booked = self._try_book(engine, nbytes, fast)
-        if booked is not None:
-            work = env.work
-            if work is not None:
-                work.resource_occupancies += 1
-            yield env.sleep_until(booked[0])
-            return
-        request = engine.request()
+        if injector is not None and injector.plan.nic_stalls:
+            # A stall wedges the engine from its grant on: the booking
+            # holds it for the stall, then for the message.
+            now = self.env._now
+            start = engine.booked_until
+            # The injector records faults.nic_stall* metrics itself.
+            stall = injector.nic_delay(self.node_index,
+                                       start if start > now else now)
+        start, _ = engine.try_occupy(occupancy, stall)
         metrics = self.metrics
         if metrics.enabled:
-            # Depth *before* this request is granted: how many messages
-            # are serialized behind the engine right now.
-            metrics.gauge(f"{label}.queue_depth").set(engine.queue_length)
+            # How many messages wait for the engine, this one included
+            # unless the engine is free now.
+            metrics.gauge(f"{label}.queue_depth").set(
+                engine.pending_bookings)
             metrics.counter(f"{label}.messages").inc()
-            metrics.histogram(f"{label}.busy_us").observe(
-                self.occupancy_us(nbytes, fast))
-        yield request
-        if self.injector is not None:
-            # The injector records faults.nic_stall* metrics itself.
-            stall = self.injector.nic_delay(self.node_index, self.env.now)
-            if stall > 0:
-                yield env.sleep(stall)
-        yield env.sleep(self.occupancy_us(nbytes, fast))
-        engine.release(request)
+            metrics.histogram(f"{label}.busy_us").observe(occupancy)
+        return start + stall + occupancy

@@ -95,7 +95,8 @@ class Resource:
     engine's deterministic event ordering.
     """
 
-    __slots__ = ("env", "capacity", "_waiting", "_users", "_busy_until")
+    __slots__ = ("env", "capacity", "_waiting", "_users", "_busy_until",
+                 "_starts")
 
     def __init__(self, env: Environment, capacity: int = 1):
         if capacity < 1:
@@ -107,6 +108,9 @@ class Resource:
         #: End of the current timestamp booking (see :meth:`try_occupy`);
         #: the resource behaves as busy while ``_busy_until > now``.
         self._busy_until = _NEVER
+        #: Start times of the bookings not yet started, kept only once
+        #: :meth:`track_bookings` asked for :attr:`pending_bookings`.
+        self._starts: Optional[Deque[float]] = None
 
     @property
     def count(self) -> int:
@@ -123,26 +127,50 @@ class Resource:
         """End of the current timestamp booking (``-inf`` when none)."""
         return self._busy_until
 
+    def track_bookings(self) -> None:
+        """Keep booking start times from now on, for
+        :attr:`pending_bookings`."""
+        if self._starts is None:
+            self._starts = deque()
+
+    @property
+    def pending_bookings(self) -> int:
+        """Bookings that start after now: the requests that would be
+        waiting if every booking had been a request.  Needs
+        :meth:`track_bookings` before the first booking."""
+        starts = self._starts
+        if starts is None:
+            raise SimulationError("pending_bookings needs track_bookings()")
+        now = self.env._now
+        while starts and starts[0] <= now:
+            starts.popleft()
+        return len(starts)
+
     # -- timestamp-booking fast path --------------------------------------
-    def try_occupy(self, duration: float) -> Optional[Tuple[float, float]]:
+    def try_occupy(self, duration: float, delay: float = 0.0
+                   ) -> Optional[Tuple[float, float]]:
         """Book this resource for ``duration`` without events.
 
         Only possible on an idle capacity-1 resource (no users, no
         waiters).  The booking starts at ``now`` — or, back-to-back
         with an earlier booking, at that booking's end, which is
-        exactly when a queued request would have been granted.  Returns
-        ``(start, previous_busy_until)`` so the caller can compute the
-        end time and roll the booking back with :meth:`undo_occupy`
-        (restoring ``previous_busy_until``) if a multi-resource booking
-        fails partway.  Returns ``None`` when the protocol path must be
-        used instead.
+        exactly when a queued request would have been granted — and
+        holds the resource for ``delay`` and then ``duration`` (a
+        holder that waits ``delay`` after its grant before it starts
+        the work).  Returns ``(start, previous_busy_until)`` so the
+        caller can compute the end time and roll the booking back with
+        :meth:`undo_occupy` (restoring ``previous_busy_until``) if a
+        multi-resource booking fails partway.  Returns ``None`` when
+        the protocol path must be used instead.
         """
         if self.capacity != 1 or self._users or self._waiting:
             return None
         now = self.env._now
         prev = self._busy_until
         start = prev if prev > now else now
-        self._busy_until = start + duration
+        self._busy_until = start + delay + duration
+        if self._starts is not None:
+            self._starts.append(start)
         return start, prev
 
     def undo_occupy(self, previous_busy_until: float) -> None:
@@ -153,6 +181,8 @@ class Resource:
         further bookings or requests may have been made).
         """
         self._busy_until = previous_busy_until
+        if self._starts is not None:
+            self._starts.pop()
 
     def _schedule_wakeup(self) -> None:
         """Grant the FIFO head when the active booking expires."""

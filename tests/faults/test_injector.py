@@ -123,8 +123,8 @@ def test_probabilistic_fates_are_seed_deterministic():
 
 def test_outage_watchdog_aborts_in_flight_transfer():
     # A 1 MB transfer is on the wire when the 0->1 link dies at
-    # t=2000; the watchdog interrupts it, the transport waits out the
-    # RTO, and the retransmission goes around the dead link.
+    # t=2000; the watchdog aborts its route chain, the transport waits
+    # out the RTO, and the retransmission goes around the dead link.
     plan = FaultPlan(
         name="mid-flight",
         link_outages=(LinkOutage(src=0, dst=1, start_us=2000.0),))

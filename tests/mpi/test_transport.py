@@ -6,6 +6,8 @@ from repro.faults import FaultPlan, RetryConfig
 from repro.mpi import DeliveryError, MpiWorld, RankError
 from repro.obs.perf import WorkMeter
 
+from ..golden.wire_reference import case_id, load_reference, matches
+
 
 def world(machine="t3d", nodes=4, **kwargs):
     return MpiWorld(machine, nodes, seed=7, **kwargs)
@@ -211,21 +213,21 @@ def test_pending_introspection():
 
 
 def _count_carries(w):
-    """Wrap the transport's fabric leg; return the per-attempt count."""
-    transport = w.comm.transport
+    """Wrap the fabric's entry point; return the per-attempt count."""
+    fabric = w.machine.fabric
     carried = []
-    carry = transport._carry
+    carry = fabric.carry
 
-    def counting_carry(*args):
+    def counting_carry(*args, **kwargs):
         carried.append(args[:2])
-        return carry(*args)
+        return carry(*args, **kwargs)
 
-    transport._carry = counting_carry
-    return transport, carried
+    fabric.carry = counting_carry
+    return w.comm.transport, carried
 
 
-def test_full_path_makes_one_attempt_per_message_without_faults():
-    w = world("sp2", 8, fast_wire=False)
+def test_one_attempt_per_message_without_faults():
+    w = world("sp2", 8)
     transport, carried = _count_carries(w)
     meter = WorkMeter()
     w.env.work = meter
@@ -236,14 +238,14 @@ def test_full_path_makes_one_attempt_per_message_without_faults():
     assert meter.retransmissions == 0
 
 
-def _lossy_world(fast_wire):
+def _lossy_world():
     plan = FaultPlan(name="lossy", loss_probability=0.3,
                      retry=RetryConfig(timeout_us=500.0, max_retries=20))
-    return world("sp2", 8, faults=plan, fast_wire=fast_wire)
+    return world("sp2", 8, faults=plan)
 
 
-def test_lossy_attempt_loop_retries_until_delivered():
-    w = _lossy_world(fast_wire=False)
+def test_lossy_attempts_retry_until_delivered():
+    w = _lossy_world()
     transport, carried = _count_carries(w)
     meter = WorkMeter()
     w.env.work = meter
@@ -251,29 +253,16 @@ def test_lossy_attempt_loop_retries_until_delivered():
     retransmits = w.machine.injector.retransmits
     assert retransmits > 0
     assert meter.retransmissions == retransmits
-    # Every retransmission is one more trip through the attempt loop.
-    assert len(carried) == transport.messages_delivered + retransmits
-
-
-def test_lossy_short_circuit_books_one_transfer_per_attempt():
-    w = _lossy_world(fast_wire=True)
-    transport = w.comm.transport
-    meter = WorkMeter()
-    w.env.work = meter
-    w.run_collective("allreduce", 4096)
-    retransmits = w.machine.injector.retransmits
-    assert retransmits > 0
     assert meter.transfers_shortcircuited > 0
-    assert meter.retransmissions == retransmits
-    # Every attempt, on either path, enters the fabric exactly once.
-    assert meter.transfers_booked == \
-        transport.messages_delivered + retransmits
+    # Every attempt enters the fabric exactly once.
+    assert len(carried) == transport.messages_delivered + retransmits
+    assert meter.transfers_booked == len(carried)
 
 
-def _delivery_failure(fast_wire):
+def _delivery_failure():
     plan = FaultPlan(name="hopeless", loss_probability=0.98,
                      retry=RetryConfig(timeout_us=500.0, max_retries=2))
-    w = world("sp2", 8, faults=plan, fast_wire=fast_wire)
+    w = world("sp2", 8, faults=plan)
     meter = WorkMeter()
     w.env.work = meter
     with pytest.raises(DeliveryError) as excinfo:
@@ -283,9 +272,15 @@ def _delivery_failure(fast_wire):
             w.machine.injector.retransmits), meter
 
 
-def test_short_circuit_gives_up_where_the_full_path_does():
-    fast, fast_meter = _delivery_failure(fast_wire=True)
-    slow, _ = _delivery_failure(fast_wire=False)
-    assert fast_meter.transfers_shortcircuited > 0
-    assert fast[3] == 3  # the first attempt and both retries
-    assert fast == slow
+def test_gives_up_where_the_process_per_hop_wire_did():
+    outcome, meter = _delivery_failure()
+    assert meter.transfers_shortcircuited > 0
+    assert outcome[3] == 3  # the first attempt and both retries
+    # The process-per-hop wire gave up on the same message at the same
+    # instant, after the same retransmissions.
+    assert outcome == (3863.996359074996, 5, 4, 3, 8)
+    # A plan that leaves no route: the give-up the wire reference holds.
+    case = ("sp2", "allreduce", 4096, 5, 0, "single-link-outage", "plain")
+    reference = load_reference()
+    assert "undeliverable" in reference[case_id(case)]["elapsed"]
+    assert matches(case, reference)

@@ -2,30 +2,48 @@
 
 import pytest
 
+from repro.faults import (
+    FaultInjector,
+    FaultPlan,
+    LinkDegradation,
+    LinkOutage,
+)
 from repro.network import (
     LinkParameters,
     Mesh2D,
     NetworkFabric,
     OmegaNetwork,
     Torus3D,
+    TransferAborted,
     bandwidth_to_us_per_byte,
 )
 from repro.obs.perf import WorkMeter
-from repro.sim import Environment, Tracer
+from repro.sim import Environment, RandomStreams, Tracer
 
 PARAMS = LinkParameters(hop_latency_us=0.1, bandwidth_mbs=100.0)
 
 
 def run_transfer(fabric, env, src, dst, nbytes, start=0.0):
+    """Issue one transfer at ``start``; the returned dict gains its
+    ``elapsed`` time (and whether it was ``aborted``) once the route is
+    released."""
     done = {}
 
-    def proc():
-        yield env.timeout(start)
+    def issue(_event=None):
         begin = env.now
-        yield env.process(fabric.transfer(src, dst, nbytes))
-        done["elapsed"] = env.now - begin
 
-    env.process(proc())
+        def released(release, aborted):
+            done["elapsed"] = release - begin
+            done["aborted"] = aborted
+
+        release = fabric.carry(src, dst, nbytes, released)
+        if release is not None:
+            released(release, False)
+
+    if start:
+        env.timeout(start).callbacks.append(issue)
+    else:
+        issue()
     return done
 
 
@@ -59,9 +77,7 @@ def test_negative_size_rejected():
     env = Environment()
     fabric = NetworkFabric(env, Mesh2D(2, 2), PARAMS)
     with pytest.raises(ValueError):
-        # The generator raises on first step inside the process.
-        env.process(fabric.transfer(0, 1, -1))
-        env.run()
+        fabric.carry(0, 1, -1, lambda release, aborted: None)
 
 
 def test_shared_link_serializes():
@@ -165,107 +181,155 @@ def test_transfer_time_zero_bytes():
     assert fabric.transfer_time(0, 1, 0) == pytest.approx(0.1)
 
 
-def test_idle_route_is_acquired_link_by_link():
-    # A transfer through the process path takes every link of its route
-    # through the per-hop request protocol, even when all are idle;
-    # whole-route booking belongs to try_book_route alone.
+def test_idle_route_is_booked_whole():
+    # A route whose links are all idle is booked with timestamps: the
+    # release time is known at issue, and no event is scheduled.
     env = Environment()
     env.work = WorkMeter()
     fabric = NetworkFabric(env, Mesh2D(4, 1), PARAMS)
-    done = run_transfer(fabric, env, 0, 3, 1048)
-    env.run()
-    assert done["elapsed"] == pytest.approx(
-        3 * 0.1 + 1048 * PARAMS.us_per_byte)
+    release = fabric.carry(0, 3, 1048, lambda release, aborted: None)
+    assert release == pytest.approx(3 * 0.1 + 1048 * PARAMS.us_per_byte)
     work = env.work
     assert work.link_acquisitions == 3
-    assert work.resource_occupancies == 0
-    assert work.transfers_completed == 1
+    assert work.resource_occupancies == 3
+    assert work.resource_requests == 0
+    assert work.transfers_completed == work.transfers_shortcircuited == 1
     assert work.transfers_stalled == 0
+    assert work.events_scheduled == 0
     assert sorted(fabric.utilisation().values()) == [1048] * 3
 
 
-# -- the contended-route chain --------------------------------------------
+# -- the route chain --------------------------------------------------------
 
-def issue_chain(fabric, src, dst, nbytes, log, name):
-    fabric.chain_route(src, dst, nbytes,
-                       lambda release: log.append((name, release)))
-
-
-def issue_process(fabric, src, dst, nbytes, log, name):
-    env = fabric.env
-
-    def body():
-        yield from fabric.transfer(src, dst, nbytes)
-        log.append((name, env.now))
-
-    env.process(body())
-
-
-def release_log(issue_x, scenario):
-    """Run ``scenario`` with transfer X issued by ``issue_x`` and Y as a
-    process; return (release log, per-link waits, work meter)."""
+def test_busy_route_waits_in_the_link_fifo():
+    # Y holds the shared link 1->2 from t=0.  X (0->2) and Z (1->2) are
+    # chained behind it; Z asks for that link first (X takes 0->1
+    # before it), so the FIFO serves Z, then X.
     env = Environment()
     env.work = WorkMeter()
-    fabric = NetworkFabric(env, Mesh2D(4, 1), PARAMS)
-    log = []
-    scenario(fabric, issue_x, log)
-    env.run()
-    waits = {link_id: (link.wait_us, link.contended_transfers)
-             for link_id, link in fabric._links.items()}
-    return log, waits, env.work
-
-
-def same_instant_routes(fabric, issue_x, log):
-    # X: 0->2 over links 0->1, 1->2; Y: 1->2 over 1->2.  Both at t=0.
-    issue_x(fabric, 0, 2, 1048, log, "X")
-    issue_process(fabric, 1, 2, 1048, log, "Y")
-
-
-def pending_event_routes(fabric, issue_x, log):
-    # X is issued at t=5 while the event issuing Y is pending at t=5.
-    env = fabric.env
-    env.timeout(5.0).callbacks.append(
-        lambda _event: issue_x(fabric, 0, 2, 1048, log, "X"))
-    env.timeout(5.0).callbacks.append(
-        lambda _event: issue_process(fabric, 1, 2, 1048, log, "Y"))
-
-
-def assert_chain_matches_process(scenario, start):
-    chain_log, chain_waits, chain_work = release_log(issue_chain, scenario)
-    ref_log, ref_waits, ref_work = release_log(issue_process, scenario)
+    tracer = Tracer(enabled=True)
+    fabric = NetworkFabric(env, Mesh2D(4, 1), PARAMS, tracer=tracer)
     hold_y = 0.1 + 1048 * PARAMS.us_per_byte
     hold_x = 0.2 + 1048 * PARAMS.us_per_byte
-    # Y reaches the shared link first; X queues behind it.
-    assert ref_log == [("Y", start + hold_y), ("X", start + hold_y + hold_x)]
-    assert chain_log == ref_log
-    assert chain_waits == ref_waits
-    for counter in ("resource_requests", "resource_grants",
-                    "link_acquisitions", "transfers_booked",
-                    "transfers_stalled", "transfers_completed"):
-        assert getattr(chain_work, counter) == getattr(ref_work, counter), \
-            counter
-    assert chain_work.transfers_stalled == 1
-
-
-def test_route_chains_issued_in_one_instant_keep_fifo_order():
-    assert_chain_matches_process(same_instant_routes, 0.0)
-
-
-def test_route_chain_waits_for_events_pending_at_now():
-    assert_chain_matches_process(pending_event_routes, 5.0)
+    y = run_transfer(fabric, env, 1, 2, 1048)
+    x = run_transfer(fabric, env, 0, 2, 1048)
+    z = run_transfer(fabric, env, 1, 2, 1048)
+    assert y["elapsed"] == pytest.approx(hold_y)  # booked at issue
+    assert "elapsed" not in x and "elapsed" not in z
+    env.run()
+    assert z["elapsed"] == pytest.approx(2 * hold_y)
+    assert x["elapsed"] == pytest.approx(2 * hold_y + hold_x)
+    assert not x["aborted"] and not z["aborted"]
+    work = env.work
+    assert work.transfers_booked == work.transfers_completed == 3
+    assert work.transfers_shortcircuited == 1
+    assert work.transfers_stalled == 2
+    assert work.link_acquisitions == 1 + 2 + 1
+    shared = fabric.link(("mesh", (1, 0), (2, 0)))
+    assert shared.contended_transfers == 2
+    assert shared.bytes_carried == 3 * 1048
+    waits = [record.detail["waited_us"]
+             for record in tracer.records("link-contention")]
+    assert waits == pytest.approx([hold_y, 2 * hold_y])
+    links = tracer.spans("link")
+    assert len(links) == 1 + 2 + 1
+    assert all(span.end is not None for span in links)
 
 
 def test_route_chain_grants_in_place_at_a_quiet_instant():
-    def alone(fabric, issue_x, log):
-        issue_x(fabric, 0, 3, 1048, log, "X")
+    # X (0->3) finds its middle link booked: the first and last links
+    # are granted in place, the middle one through the request/grant
+    # protocol once the booking expires.
+    env = Environment()
+    env.work = WorkMeter()
+    fabric = NetworkFabric(env, Mesh2D(4, 1), PARAMS)
+    hold_y = 0.1 + 1048 * PARAMS.us_per_byte
+    run_transfer(fabric, env, 1, 2, 1048)
+    x = run_transfer(fabric, env, 0, 3, 1048)
+    env.run()
+    assert x["elapsed"] == pytest.approx(
+        hold_y + 0.3 + 1048 * PARAMS.us_per_byte)
+    work = env.work
+    # The chain's start, the booking-end wakeup, the one grant event
+    # and the hold: the two in-place grants scheduled nothing.
+    assert work.events_fired == 4
+    assert work.resource_requests == work.resource_grants == 3
+    assert work.resource_releases == 3
+    assert work.link_acquisitions == 1 + 3
 
-    chain_log, _, chain_work = release_log(issue_chain, alone)
-    ref_log, _, ref_work = release_log(issue_process, alone)
-    assert chain_log == ref_log == [("X", 0.3 + 1048 * PARAMS.us_per_byte)]
-    # One start and one hold event: all three grants were in place.
-    assert chain_work.events_fired == 2
-    assert ref_work.events_fired > chain_work.events_fired
-    assert chain_work.resource_requests == ref_work.resource_requests == 3
-    assert chain_work.resource_grants == ref_work.resource_grants == 3
-    assert chain_work.link_acquisitions == 3
-    assert chain_work.transfers_stalled == 0
+
+def _outage_fabric(env, start_us, tracer=None):
+    plan = FaultPlan(name="outage", link_outages=(
+        LinkOutage(src=0, dst=1, start_us=start_us),))
+    topology = Mesh2D(4, 1)
+    injector = FaultInjector(env, plan, RandomStreams(0), topology)
+    return NetworkFabric(env, topology, PARAMS, tracer=tracer,
+                         injector=injector), injector
+
+
+def test_outage_aborts_a_chain_in_flight():
+    # Every route over the outage's link is chained, so the watchdog
+    # can abort it: the held link is released at the outage instant
+    # and the waiting transfer behind it takes over.
+    env = Environment()
+    env.work = WorkMeter()
+    tracer = Tracer(enabled=True)
+    fabric, injector = _outage_fabric(env, 5.0, tracer=tracer)
+    first = run_transfer(fabric, env, 0, 1, 1048)
+    second = run_transfer(fabric, env, 0, 1, 1048)
+    env.run()
+    assert first == {"elapsed": 5.0, "aborted": True}
+    assert second == {"elapsed": 5.0, "aborted": True}
+    assert injector.transfers_aborted == 2
+    assert env.work.transfers_aborted == 2
+    assert env.work.transfers_completed == 0
+    assert fabric.utilisation() == {}
+    link = fabric.link(("mesh", (0, 0), (1, 0)))
+    assert link.resource.count == 0 and link.resource.queue_length == 0
+    assert [span.end for span in tracer.spans("link")] == [5.0]
+    assert injector._active == {}
+
+
+def test_route_without_a_live_path_is_unroutable():
+    env = Environment()
+    env.work = WorkMeter()
+    fabric, injector = _outage_fabric(env, 0.0)
+    env.run()  # the outage begins
+    with pytest.raises(TransferAborted):
+        fabric.carry(0, 3, 1048, lambda release, aborted: None)
+    assert injector.unroutable == 1
+    assert env.work.transfers_booked == 0
+
+
+def test_detour_opens_a_reroute_span():
+    env = Environment()
+    env.work = WorkMeter()
+    tracer = Tracer(enabled=True)
+    plan = FaultPlan(name="outage", link_outages=(
+        LinkOutage(src=0, dst=1, start_us=0.0),))
+    topology = Mesh2D(2, 2)
+    injector = FaultInjector(env, plan, RandomStreams(0), topology)
+    fabric = NetworkFabric(env, topology, PARAMS, tracer=tracer,
+                           injector=injector)
+    env.run()
+    release = fabric.carry(0, 1, 1048, lambda release, aborted: None)
+    assert release == pytest.approx(3 * 0.1 + 1048 * PARAMS.us_per_byte)
+    assert injector.reroutes == 1 and env.work.transfers_rerouted == 1
+    (reroute,) = tracer.spans("reroute")
+    assert (reroute.start, reroute.end) == (0.0, release)
+    links = tracer.spans("link")
+    assert len(links) == 3
+    assert {span.parent for span in links} == {reroute.id}
+
+
+def test_degradation_stretches_the_hold():
+    env = Environment()
+    plan = FaultPlan(name="slow", link_degradations=(
+        LinkDegradation(src=0, dst=1, factor=4.0),))
+    topology = Mesh2D(4, 1)
+    injector = FaultInjector(env, plan, RandomStreams(0), topology)
+    fabric = NetworkFabric(env, topology, PARAMS, injector=injector)
+    release = fabric.carry(0, 2, 1048, lambda release, aborted: None)
+    assert release == pytest.approx(2 * 0.1 + 1048 * PARAMS.us_per_byte * 4)
+    assert fabric.carry(2, 3, 1048, lambda release, aborted: None) == \
+        pytest.approx(0.1 + 1048 * PARAMS.us_per_byte)

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from repro.network import LinkParameters, Mesh2D, NetworkFabric, \
     OmegaNetwork, Torus3D
-from repro.sim import Environment
+from repro.sim import Environment, Tracer
 
 PARAMS = LinkParameters(hop_latency_us=0.05, bandwidth_mbs=200.0)
 
@@ -24,6 +24,18 @@ def transfer_sets(draw):
             for _ in range(count)]
 
 
+def carry(fabric, src, dst, nbytes, finished):
+    """Issue one transfer now; append ``(src, dst, nbytes, release)``
+    to ``finished`` once its route is released."""
+    def released(release, aborted):
+        assert not aborted
+        finished.append((src, dst, nbytes, release))
+
+    release = fabric.carry(src, dst, nbytes, released)
+    if release is not None:
+        released(release, False)
+
+
 @given(st.sampled_from(sorted(TOPOLOGIES)), transfer_sets())
 @settings(max_examples=50, deadline=None)
 def test_all_transfers_complete_and_bytes_conserved(kind, transfers):
@@ -31,15 +43,14 @@ def test_all_transfers_complete_and_bytes_conserved(kind, transfers):
     topology = TOPOLOGIES[kind]()
     fabric = NetworkFabric(env, topology, PARAMS)
     finished = []
-
-    def mover(src, dst, nbytes):
-        yield from fabric.transfer(src, dst, nbytes)
-        finished.append((src, dst, nbytes))
-
     for src, dst, nbytes in transfers:
-        env.process(mover(src, dst, nbytes))
+        carry(fabric, src, dst, nbytes, finished)
     env.run()
     assert len(finished) == len(transfers)
+    # Every link was given back.
+    for link_id in topology.links():
+        resource = fabric.link(link_id).resource
+        assert resource.count == 0 and resource.queue_length == 0
 
     # Byte conservation: each link carried exactly the bytes of the
     # messages routed over it.
@@ -63,20 +74,14 @@ def test_uncontended_time_matches_formula(kind, src, dst, nbytes):
     env = Environment()
     topology = TOPOLOGIES[kind]()
     fabric = NetworkFabric(env, topology, PARAMS)
-    elapsed = {}
-
-    def mover():
-        start = env.now
-        yield from fabric.transfer(src, dst, nbytes)
-        elapsed["value"] = env.now - start
-
-    env.process(mover())
+    finished = []
+    carry(fabric, src, dst, nbytes, finished)
     env.run()
+    (release,) = [entry[3] for entry in finished]
     if src == dst:
-        assert elapsed["value"] == 0.0
+        assert release == 0.0
     else:
-        assert elapsed["value"] == \
-            fabric.transfer_time(src, dst, nbytes)
+        assert release == fabric.transfer_time(src, dst, nbytes)
 
 
 @given(transfer_sets())
@@ -86,9 +91,31 @@ def test_contention_never_speeds_things_up(transfers):
         env = Environment()
         fabric = NetworkFabric(env, Mesh2D(4, 4), PARAMS,
                                contention=contention)
+        finished = []
         for src, dst, nbytes in transfers:
-            env.process(fabric.transfer(src, dst, nbytes))
+            carry(fabric, src, dst, nbytes, finished)
         env.run()
-        return env.now
+        return max(entry[3] for entry in finished)
 
     assert total_time(True) >= total_time(False) - 1e-9
+
+
+@given(st.sampled_from(sorted(TOPOLOGIES)), transfer_sets())
+@settings(max_examples=30, deadline=None)
+def test_a_link_is_held_by_one_transfer_at_a_time(kind, transfers):
+    """Booked or chained, the occupancy spans of one link never
+    overlap: contention serializes."""
+    env = Environment()
+    tracer = Tracer(enabled=True)
+    fabric = NetworkFabric(env, TOPOLOGIES[kind](), PARAMS, tracer=tracer)
+    finished = []
+    for src, dst, nbytes in transfers:
+        carry(fabric, src, dst, nbytes, finished)
+    env.run()
+    held = {}
+    for span in tracer.spans("link"):
+        held.setdefault(span.name, []).append((span.start, span.end))
+    for intervals in held.values():
+        intervals.sort()
+        for (_, end), (start, _) in zip(intervals, intervals[1:]):
+            assert start >= end

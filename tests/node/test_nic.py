@@ -1,18 +1,13 @@
-"""Tests for the NIC model: duplex modes and fast (DMA-fed) path."""
+"""Tests for the NIC model: duplex modes, fast (DMA-fed) path, and the
+engine bookings every message takes."""
 
 import pytest
 
+from repro.faults import FaultInjector, FaultPlan, NicStall
+from repro.network import Mesh2D
 from repro.node import Nic
-from repro.obs.perf import WorkMeter
-from repro.sim import Environment
-
-
-def run_leg(env, generator, result, key):
-    def proc():
-        start = env.now
-        yield from generator
-        result[key] = env.now - start
-    env.process(proc())
+from repro.obs.metrics import MetricsRegistry
+from repro.sim import Environment, RandomStreams
 
 
 def test_occupancy_includes_per_message_cost():
@@ -41,12 +36,8 @@ def test_full_duplex_tx_rx_parallel():
     nic = Nic(env, per_message_us=0.0, bandwidth_mbs=100.0,
               half_duplex=False)
     single = nic.occupancy_us(10486)
-    result = {}
-    run_leg(env, nic.transmit(10486), result, "tx")
-    run_leg(env, nic.receive(10486), result, "rx")
-    env.run()
-    assert result["tx"] == pytest.approx(single)
-    assert result["rx"] == pytest.approx(single)  # concurrent
+    assert nic.book_transmit(10486) == pytest.approx(single)
+    assert nic.book_receive(10486) == pytest.approx(single)  # concurrent
 
 
 def test_half_duplex_tx_rx_serialize():
@@ -54,31 +45,36 @@ def test_half_duplex_tx_rx_serialize():
     nic = Nic(env, per_message_us=0.0, bandwidth_mbs=100.0,
               half_duplex=True)
     single = nic.occupancy_us(10486)
-    result = {}
-    run_leg(env, nic.transmit(10486), result, "tx")
-    run_leg(env, nic.receive(10486), result, "rx")
-    env.run()
-    assert result["tx"] == pytest.approx(single)
-    assert result["rx"] == pytest.approx(2 * single)  # shared engine
+    assert nic.book_transmit(10486) == pytest.approx(single)
+    # One shared engine: the receive waits for the transmit.
+    assert nic.book_receive(10486) == pytest.approx(2 * single)
 
 
 def test_same_direction_messages_serialize():
     env = Environment()
     nic = Nic(env, per_message_us=1.0, bandwidth_mbs=100.0)
-    result = {}
-    run_leg(env, nic.transmit(10486), result, "first")
-    run_leg(env, nic.transmit(10486), result, "second")
-    env.run()
-    assert result["second"] == pytest.approx(2 * result["first"])
+    first = nic.book_transmit(10486)
+    assert nic.book_transmit(10486) == pytest.approx(2 * first)
+
+
+def test_bookings_are_back_to_back_fifo():
+    # A booking starts at the end of the engine's last booking while
+    # that one runs, and at the current instant once the engine is
+    # free again: exactly where a FIFO grant would have fallen.
+    env = Environment()
+    nic = Nic(env, per_message_us=1.0, bandwidth_mbs=100.0)
+    occupancy = nic.occupancy_us(1048)
+    ends = [nic.book_transmit(1048) for _ in range(3)]
+    assert ends == [occupancy, 2 * occupancy, 3 * occupancy]
+    env.run(until=10 * occupancy)
+    assert nic.book_transmit(1048) == 10 * occupancy + occupancy
 
 
 def test_message_counters():
     env = Environment()
     nic = Nic(env, per_message_us=0.0, bandwidth_mbs=100.0)
-    result = {}
-    run_leg(env, nic.transmit(10), result, "tx")
-    run_leg(env, nic.receive(10), result, "rx")
-    env.run()
+    nic.book_transmit(10)
+    nic.book_receive(10)
     assert nic.messages_sent == 1
     assert nic.messages_received == 1
 
@@ -94,29 +90,38 @@ def test_invalid_parameters_rejected():
             fast_bandwidth_mbs=0.0)
     nic = Nic(env, per_message_us=0.0, bandwidth_mbs=10.0)
     with pytest.raises(ValueError):
-        list(nic.transmit(-1))
+        nic.book_transmit(-1)
+    with pytest.raises(ValueError):
+        nic.book_receive(-1)
+    assert nic.messages_sent == nic.messages_received == 0
 
 
-def test_transmit_books_like_try_book_transmit():
-    # The process path books an idle (or contiguously busy) engine the
-    # same way the synchronous fast path does: same end times, one
-    # occupancy per message, no request/grant protocol.
-    size = 10486
-    booked_env = Environment()
-    booked = Nic(booked_env, per_message_us=1.0, bandwidth_mbs=100.0)
-    ends = []
-    for _ in range(2):
-        end, _engine, _previous = booked.try_book_transmit(size)
-        booked.commit_transmit()
-        ends.append(end)
-
+def test_stall_is_part_of_the_booking():
+    # The engine is granted inside the stall window [5, 15): it holds
+    # for the rest of the window, then for the message.
     env = Environment()
-    env.work = WorkMeter()
-    nic = Nic(env, per_message_us=1.0, bandwidth_mbs=100.0)
-    result = {}
-    run_leg(env, nic.transmit(size), result, "first")
-    run_leg(env, nic.transmit(size), result, "second")
-    env.run()
-    assert [result["first"], result["second"]] == ends
-    assert env.work.resource_occupancies == 2
-    assert nic.messages_sent == booked.messages_sent == 2
+    plan = FaultPlan(name="stall", nic_stalls=(
+        NicStall(node=0, start_us=5.0, duration_us=10.0),))
+    injector = FaultInjector(env, plan, RandomStreams(0), Mesh2D(2, 1))
+    nic = Nic(env, per_message_us=10.0, bandwidth_mbs=100.0,
+              node_index=0, injector=injector)
+    assert nic.book_transmit(0) == 10.0  # granted at 0: no stall
+    assert nic.book_transmit(0) == 10.0 + 5.0 + 10.0
+    assert nic.book_receive(0) == 10.0  # other engine, granted at 0
+    assert injector.nic_stall_total_us == 5.0
+
+
+def test_queue_depth_gauge_counts_waiting_bookings():
+    env = Environment()
+    metrics = MetricsRegistry(enabled=True)
+    nic = Nic(env, per_message_us=1.0, bandwidth_mbs=100.0,
+              metrics=metrics)
+    for _ in range(3):
+        nic.book_transmit(1048)
+    gauge = metrics.gauge("nic.tx.queue_depth")
+    # The first booking is granted at once, the next two wait.
+    assert (gauge.value, gauge.high_water, gauge.samples) == (2, 2, 3)
+    env.run(until=nic.occupancy_us(1048))
+    nic.book_transmit(1048)
+    assert gauge.value == 2  # the second booking has started
+    assert metrics.counter("nic.tx.messages").value == 4

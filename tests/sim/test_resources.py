@@ -254,6 +254,32 @@ def test_try_occupy_books_contiguously():
     assert resource.booked_until == 7.5
 
 
+def test_try_occupy_holds_for_the_delay_then_the_duration():
+    env = Environment()
+    resource = Resource(env, capacity=1)
+    assert resource.try_occupy(2.0, delay=3.0) == (0.0, float("-inf"))
+    assert resource.booked_until == 5.0
+    assert resource.try_occupy(1.0) == (5.0, 5.0)
+
+
+def test_pending_bookings_count_bookings_not_yet_started():
+    env = Environment()
+    resource = Resource(env, capacity=1)
+    with pytest.raises(SimulationError):
+        resource.pending_bookings
+    resource.track_bookings()
+    for _ in range(3):
+        resource.try_occupy(2.0)  # starts at 0, 2 and 4
+    assert resource.pending_bookings == 2
+    booking = resource.try_occupy(2.0)
+    resource.undo_occupy(booking[1])
+    assert resource.pending_bookings == 2
+    env.run(until=2.0)
+    assert resource.pending_bookings == 1  # the one from 2 has begun
+    env.run(until=5.0)
+    assert resource.pending_bookings == 0
+
+
 def test_try_occupy_refused_on_held_or_contended_resource():
     env = Environment()
     shared = Resource(env, capacity=2)

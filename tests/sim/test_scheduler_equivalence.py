@@ -1,23 +1,22 @@
-"""Differential equivalence harness for the engine and the wire paths.
+"""Differential equivalence harness for the engine and the wire.
 
-The engine keeps one heap ordered by ``(time, priority, eid)`` and the
-transport carries contention-free messages analytically (``_wire_fast``)
-instead of through the full attempt loop.  Neither shortcut may ever be
-*observable*: this harness runs randomized process/resource/transfer
-graphs (hypothesis) and real MPI workloads and asserts
+The engine keeps one heap ordered by ``(time, priority, eid)``, and the
+transport carries every message without processes: NIC engines and
+idle routes are booked with timestamps, busy routes go through the
+fabric's callback route chain.  Neither shortcut may ever be
+*observable*: this harness runs randomized process/resource graphs
+(hypothesis) and real MPI workloads and asserts
 
 * the same graph pops a **byte-identical event log** — the exact
   ``(time, priority, eid, event-type)`` sequence — and identical
   :class:`~repro.obs.perf.WorkMeter` snapshots on every run, in
   non-decreasing time order;
-* short-circuited (``fast_wire=True``) runs match full-simulation
-  times to 1e-12 s (1e-6 of this repo's microsecond unit) and carry the
-  same traffic: equal bytes per link and message counts per NIC —
-  including contended total exchanges, whose busy routes go through
-  the fabric's callback route chain;
-* under fault plans that only draw per-message fates or slow node
-  software, the two paths agree exactly: times, traffic, retries and
-  every fault-injector counter.
+* collectives reproduce the frozen output of the process-per-hop wire
+  (``tests/golden/wire_reference.json``) exactly: elapsed time, work
+  counters, and per-link bytes, busy and wait time — including
+  contended total exchanges, whose busy routes wait in link FIFOs;
+* so do fault plans that only draw per-message fates or slow node
+  software: times, traffic, retries and every fault-injector counter.
 """
 
 import json
@@ -29,15 +28,22 @@ from pathlib import Path
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.faults import FaultPlan, fault_preset
+from repro.faults import FaultPlan
 from repro.mpi import MpiWorld
 from repro.obs.perf import WorkMeter
 from repro.sim import Environment, Resource, Store
 
+from ..golden.wire_reference import (
+    SUBSET_POINTS,
+    case_id,
+    load_reference,
+    matches,
+    matrix,
+)
+
 REPO_SRC = str(Path(__file__).resolve().parents[2] / "src")
 
-#: 1e-12 seconds in this repo's microsecond time unit.
-TIME_TOLERANCE_US = 1e-6
+REFERENCE = load_reference()
 
 
 def run_logged(program_factory):
@@ -205,28 +211,20 @@ def mpi_workloads(draw):
     return machine, op, nbytes, p
 
 
-def run_collective(machine, op, nbytes, p, fast_wire=True, waits=False):
+def run_collective(machine, op, nbytes, p):
     """Run one collective; return (elapsed, work snapshot, traffic).
 
-    ``traffic`` is what the wire paths put on the hardware: bytes per
-    link and ``(messages_sent, messages_received)`` per NIC — plus,
-    with ``waits``, each link's queueing delay and waiting-transfer
-    count."""
-    world = MpiWorld(machine, p, seed=0, fast_wire=fast_wire)
+    ``traffic`` is what the wire put on the hardware: bytes per link
+    and ``(messages_sent, messages_received)`` per NIC."""
+    world = MpiWorld(machine, p, seed=0)
     meter = WorkMeter()
     world.env.work = meter
     elapsed = world.run_collective(op, nbytes)
-    fabric = world.machine.fabric
     traffic = {
-        "links": fabric.utilisation(),
+        "links": world.machine.fabric.utilisation(),
         "nics": [(node.nic.messages_sent, node.nic.messages_received)
                  for node in world.machine.nodes],
     }
-    if waits:
-        traffic["waits"] = {
-            link_id: (fabric.link(link_id).wait_us,
-                      fabric.link(link_id).contended_transfers)
-            for link_id in traffic["links"]}
     return elapsed, meter.snapshot(), traffic
 
 
@@ -241,178 +239,67 @@ def test_fixed_collectives_identical_across_runs():
         first = run_collective(*workload)
         assert first == run_collective(*workload), workload
         assert first[1]["events_fired"] > 0, workload
+        assert first[2]["links"], f"{workload} carried no bytes"
+        assert first[1]["transfers_shortcircuited"] > 0, \
+            f"{workload} never booked a route outright"
 
 
-def test_full_path_identical_across_runs():
-    # The attempt loop is the reference the fast path is checked
-    # against: it must be deterministic on its own.
-    for workload in MPI_CASES[:2]:
-        first = run_collective(*workload, fast_wire=False)
-        assert first == run_collective(*workload, fast_wire=False), \
-            workload
-        assert first[1]["transfers_shortcircuited"] == 0, workload
+# -- the wire against the process-per-hop wire's frozen output --------------
+
+#: Fault-free reference cases (every machine, 8 collectives, 4 sizes,
+#: p in {2, 5, 16, 32}, 2 seeds).
+PLAIN_CASES = [case for case in matrix() if case[5:] == ("none", "plain")]
 
 
-# -- analytic short-circuit vs full simulation -----------------------------
-
-@given(mpi_workloads())
+@given(st.sampled_from(PLAIN_CASES))
 @settings(max_examples=25, deadline=None)
-def test_short_circuit_matches_full_simulation(workload):
-    fast_time, fast_work, fast_traffic = run_collective(*workload,
-                                                        fast_wire=True)
-    slow_time, slow_work, slow_traffic = run_collective(*workload,
-                                                        fast_wire=False)
-    assert abs(fast_time - slow_time) <= TIME_TOLERANCE_US, workload
-    # The fast path may never simulate *less* traffic than it books.
-    assert fast_work["messages_sent"] == slow_work["messages_sent"]
-    assert fast_work["messages_delivered"] == \
-        slow_work["messages_delivered"]
-    assert fast_traffic == slow_traffic, workload
-    assert slow_work["transfers_shortcircuited"] == 0
-
-
-def test_short_circuit_exact_on_fixed_cases():
-    for workload in MPI_CASES:
-        fast_time, fast_work, fast_traffic = run_collective(
-            *workload, fast_wire=True)
-        slow_time, _slow_work, slow_traffic = run_collective(
-            *workload, fast_wire=False)
-        assert abs(fast_time - slow_time) <= TIME_TOLERANCE_US, workload
-        assert fast_traffic == slow_traffic, workload
-        assert fast_traffic["links"], f"{workload} carried no bytes"
-        assert fast_work["transfers_shortcircuited"] > 0, \
-            f"{workload} never took the analytic path"
+def test_random_collectives_match_the_wire_reference(case):
+    assert matches(case, REFERENCE), case
 
 
 def test_route_chain_exact_on_contended_alltoall():
     # Equal link waits and stall counts pin the order in which the
     # route chain wins each link FIFO, not only the collective's time.
     for workload in CONTENDED_CASES:
-        fast_time, fast_work, fast_traffic = run_collective(
-            *workload, fast_wire=True, waits=True)
-        slow_time, slow_work, slow_traffic = run_collective(
-            *workload, fast_wire=False, waits=True)
-        assert fast_work["transfers_stalled"] > 0, \
+        case = workload + (0, "none", "plain")
+        assert matches(case, REFERENCE), workload
+        _, work, _ = run_collective(*workload)
+        assert work["transfers_stalled"] > 0, \
             f"{workload} never waited for a link"
-        assert fast_work["transfers_shortcircuited"] > 0, workload
-        assert abs(fast_time - slow_time) <= TIME_TOLERANCE_US, workload
-        assert fast_traffic == slow_traffic, workload
-        for counter in ("link_acquisitions", "transfers_stalled"):
-            assert fast_work[counter] == slow_work[counter], \
-                (workload, counter)
+        assert work["transfers_shortcircuited"] > 0, workload
 
 
-# -- fate-only fault plans: short-circuit vs full simulation ----------------
+# -- fate-only fault plans ---------------------------------------------------
 
-#: Plans the short-circuit carries: per-message fates and node
-#: slowdowns, no fault that acts on a transfer in flight.
-FATE_ONLY_PLANS = [
-    fault_preset("lossy"),
-    fault_preset("slow-node"),
-    FaultPlan(name="corrupting", corruption_probability=0.05),
-]
-
-#: A tree collective and a contended total exchange per machine, so
-#: retries go through both the idle-route booking and the route chain.
-FAULTY_CASES = [
-    (machine, op, nbytes, p)
-    for machine in ("sp2", "t3d", "paragon")
-    for op, nbytes, p in (("broadcast", 4096, 16),
-                          ("alltoall", 65536, 16))
-]
-
-
-def hog_transmit_engines(world, period_us, hold_us, cycles):
-    """Occupy every NIC's transmit engine through the request protocol
-    for ``hold_us`` out of every ``period_us``, ``cycles`` times.
-
-    Within a run the short-circuit may take, the wire paths book NIC
-    engines and never queue a request on one, so an engine only refuses
-    a booking while an outside user like this one holds or awaits it.
-    """
-    env = world.env
-
-    def hog(engine):
-        for _ in range(cycles):
-            yield env.timeout(period_us)
-            request = engine.request()
-            yield request
-            yield env.timeout(hold_us)
-            engine.release(request)
-
-    for node in world.machine.nodes:
-        env.process(hog(node.nic._tx), name="hog")
-
-
-def run_faulty(machine, op, nbytes, p, plan, fast_wire, hogged=False):
-    """Run one collective under ``plan``; return (observables, work,
-    how many retries continued in ``_wire`` after the short-circuit
-    carried the attempt before).  ``hogged`` adds
-    :func:`hog_transmit_engines`."""
-    world = MpiWorld(machine, p, seed=0, faults=plan,
-                     fast_wire=fast_wire)
-    meter = WorkMeter()
-    world.env.work = meter
-    if hogged:
-        hog_transmit_engines(world, period_us=700.0, hold_us=150.0,
-                             cycles=20)
-    transport = world.comm.transport
-    wire = transport._wire
-    resumed = []
-
-    def counting_wire(*args, **kwargs):
-        if kwargs.get("attempt", 0) > 0:
-            resumed.append(args[:2])
-        return wire(*args, **kwargs)
-
-    transport._wire = counting_wire
-    elapsed = world.run_collective(op, nbytes)
-    injector = world.machine.injector
-    observables = {
-        "elapsed": elapsed,
-        "links": world.machine.fabric.utilisation(),
-        "nics": [(node.nic.messages_sent, node.nic.messages_received)
-                 for node in world.machine.nodes],
-        "injector": {name: getattr(injector, name) for name in (
-            "messages_lost", "messages_corrupted", "transfers_aborted",
-            "reroutes", "unroutable", "retransmits",
-            "spurious_retransmits", "nic_stall_total_us")},
-    }
-    return observables, meter.snapshot(), len(resumed)
-
-
-def test_fate_only_plans_exact_on_short_circuit():
+def test_fate_only_plans_match_the_wire_reference():
     """Lost and corrupted attempts, their retransmissions and slowed
-    node software replay the full path exactly on the short-circuit —
-    including, with the transmit engines hogged, retries that find
-    their engines busy and continue in the full attempt loop."""
-    for plan in FATE_ONLY_PLANS:
-        for workload in FAULTY_CASES:
-            fast, fast_work, resumed = run_faulty(*workload, plan,
-                                                  fast_wire=True)
-            slow, slow_work, _ = run_faulty(*workload, plan,
-                                            fast_wire=False)
-            assert resumed == 0, (plan.name, workload)
-            assert fast == slow, (plan.name, workload)
-            assert fast_work["transfers_shortcircuited"] > 0, \
-                (plan.name, workload)
-            for counter in ("messages_sent", "messages_delivered",
-                            "retransmissions", "transfers_booked",
-                            "link_acquisitions", "transfers_stalled"):
-                assert fast_work[counter] == slow_work[counter], \
-                    (plan.name, workload, counter)
-            if plan.is_probabilistic:
-                assert fast["injector"]["retransmits"] > 0, \
-                    (plan.name, workload)
-    fell_back = 0
-    for workload in FAULTY_CASES:
-        fast, _, resumed = run_faulty(*workload, FATE_ONLY_PLANS[0],
-                                      fast_wire=True, hogged=True)
-        slow, _, _ = run_faulty(*workload, FATE_ONLY_PLANS[0],
-                                fast_wire=False, hogged=True)
-        assert fast == slow, workload
-        fell_back += resumed
-    assert fell_back > 0, "no retry ever found its engines busy"
+    node software replay the process-per-hop wire exactly — on a tree
+    collective, a contended total exchange, a small combining
+    collective and a root-serialized one per machine."""
+    for plan in ("lossy", "slow-node"):
+        for point in SUBSET_POINTS:
+            case = point + (0, plan, "plain")
+            assert matches(case, REFERENCE), case
+            if plan == "lossy" and point[1] == "alltoall":
+                assert REFERENCE[case_id(case)]["injector"][
+                    "retransmits"] > 0, case
+
+
+def test_corruption_only_plan_is_deterministic():
+    plan = FaultPlan(name="corrupting", corruption_probability=0.05)
+
+    def run():
+        world = MpiWorld("t3d", 16, seed=0, faults=plan)
+        meter = WorkMeter()
+        world.env.work = meter
+        elapsed = world.run_collective("alltoall", 65536)
+        injector = world.machine.injector
+        return (elapsed, meter.snapshot(), injector.messages_corrupted,
+                injector.retransmits)
+
+    first = run()
+    assert first == run()
+    assert first[2] > 0 and first[3] == first[2]
 
 
 # -- cross-process determinism (fresh interpreter per run) -----------------
