@@ -13,6 +13,7 @@ paper's units.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field, replace
 from types import MappingProxyType
@@ -48,6 +49,9 @@ __all__ = [
     "MachineSpec",
     "Machine",
 ]
+
+#: Jitter draws taken from a node's stream at once.
+JITTER_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -292,10 +296,14 @@ class Machine:
                                     metrics=self.metrics,
                                     injector=self.injector)
         self.nodes = [self._build_node(i) for i in range(num_nodes)]
-        # Lazily cached ``generator.normal`` bound methods, one per
-        # node: jitter() runs several times per message, and the
-        # f-string + stream-dict lookup dwarf the draw itself.
-        self._jitter_normals: List[Optional[Any]] = [None] * num_nodes
+        # Per-node buffers of pending jitter draws, refilled in blocks:
+        # jitter() runs several times per message, and one scalar draw
+        # costs more than the arithmetic around it.
+        self._jitter_draws: List[List[float]] = \
+            [[] for _ in range(num_nodes)]
+        #: Source of MPI communicator ids on this machine: the world
+        #: communicator is 0 and splits count up from there.
+        self.comm_ids = itertools.count()
         self.hardware_barrier: Optional[HardwareBarrier] = None
         if spec.barrier_wire is not None:
             self.hardware_barrier = HardwareBarrier(
@@ -328,19 +336,24 @@ class Machine:
         """One software-cost multiplier for ``node_index``.
 
         Combines the random run-to-run jitter with the node's
-        interference slowdown (1.0 in dedicated mode).  Draws the same
-        value from the same ``sw.<node>`` stream as
-        :meth:`RandomStreams.jitter`, via a cached bound method.
+        interference slowdown (1.0 in dedicated mode).  The random
+        part is a normal draw centred on 1.0 with the spec's
+        ``jitter_sigma``, clipped at 1e-3, from the node's own
+        ``sw.<node>`` stream.  Draws are taken :data:`JITTER_BLOCK` at
+        a time; a block is the same sequence of values as that many
+        scalar draws, and nothing else reads these streams.
         """
         sigma = self.spec.software.jitter_sigma
         if sigma <= 0.0:
             factor = 1.0
         else:
-            normal = self._jitter_normals[node_index]
-            if normal is None:
-                normal = self.streams.stream(f"sw.{node_index}").normal
-                self._jitter_normals[node_index] = normal
-            draw = normal(1.0, sigma)
+            draws = self._jitter_draws[node_index]
+            if not draws:
+                draws = self.streams.stream(f"sw.{node_index}").normal(
+                    1.0, sigma, size=JITTER_BLOCK).tolist()
+                draws.reverse()  # pop() then yields them in order
+                self._jitter_draws[node_index] = draws
+            draw = draws.pop()
             factor = draw if draw > 1e-3 else 1e-3
         if self.cpu_slowdown:
             factor = factor * self.cpu_slowdown.get(node_index, 1.0)

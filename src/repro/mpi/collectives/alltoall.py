@@ -20,8 +20,6 @@ exchange and gather latencies in Fig. 4.
 
 from __future__ import annotations
 
-from typing import Generator
-
 from .base import collective_algorithm
 
 __all__ = ["posted_alltoall", "pairwise_exchange_alltoall",
@@ -41,8 +39,7 @@ def _partners(rank: int, size: int, offset: int):
 
 
 @collective_algorithm("posted_alltoall")
-def posted_alltoall(ctx, seq: int, nbytes: int,
-                    root: int = 0) -> Generator:
+def posted_alltoall(s, nbytes: int, root: int = 0) -> None:
     """MPICH-style total exchange: post everything, then drain.
 
     All ``p-1`` receives are posted first, then all sends issued, then
@@ -51,52 +48,46 @@ def posted_alltoall(ctx, seq: int, nbytes: int,
     sum of per-message send and receive work, the O(p) startup term of
     Table 3.
     """
-    rank, size = ctx.rank, ctx.size
+    rank, size = s.rank, s.size
     rounds = range(1, size)
     posted = []
     for offset in rounds:
         _, recv_from = _partners(rank, size, offset)
-        posted.append(ctx.coll_post(seq, offset, recv_from))
+        posted.append(s.post(offset, recv_from))
     for offset in rounds:
         send_to, _ = _partners(rank, size, offset)
-        yield from ctx.coll_send(seq, offset, send_to, nbytes,
-                                 op="alltoall", buffered=True)
+        s.send(offset, send_to, nbytes, "alltoall", buffered=True)
     for receive in posted:
-        yield from ctx.coll_wait(receive, op="alltoall", buffered=True)
+        s.wait(receive, "alltoall", buffered=True)
 
 
 @collective_algorithm("pairwise_exchange_alltoall")
-def pairwise_exchange_alltoall(ctx, seq: int, nbytes: int,
-                               root: int = 0) -> Generator:
+def pairwise_exchange_alltoall(s, nbytes: int, root: int = 0) -> None:
     """Strict pairwise exchange: one synchronized partner per round.
 
     Kept as an ablation variant: each round blocks on its receive, so
     the one-way latency lands on every round's critical path.
     """
-    rank, size = ctx.rank, ctx.size
+    rank, size = s.rank, s.size
     for offset in range(1, size):
         send_to, recv_from = _partners(rank, size, offset)
-        posted = ctx.coll_post(seq, offset, recv_from)
-        yield from ctx.coll_send(seq, offset, send_to, nbytes,
-                                 op="alltoall", buffered=True)
-        yield from ctx.coll_wait(posted, op="alltoall", buffered=True)
+        posted = s.post(offset, recv_from)
+        s.send(offset, send_to, nbytes, "alltoall", buffered=True)
+        s.wait(posted, "alltoall", buffered=True)
 
 
 @collective_algorithm("sequential_alltoall")
-def sequential_alltoall(ctx, seq: int, nbytes: int,
-                        root: int = 0) -> Generator:
+def sequential_alltoall(s, nbytes: int, root: int = 0) -> None:
     """Naive total exchange: all sends first, then receives in order.
 
     Receives are posted only when their turn comes, so messages that
     already arrived sit in the unexpected queue and pay the
     unexpected-handling cost plus the system-buffer copy-out.
     """
-    rank, size = ctx.rank, ctx.size
+    rank, size = s.rank, s.size
     for dst in range(size):
         if dst != rank:
-            yield from ctx.coll_send(seq, 0, dst, nbytes,
-                                     op="alltoall", buffered=True)
+            s.send(0, dst, nbytes, "alltoall", buffered=True)
     for src in range(size):
         if src != rank:
-            yield from ctx.coll_recv(seq, 0, src,
-                                     op="alltoall", buffered=True)
+            s.recv(0, src, "alltoall", buffered=True)

@@ -14,8 +14,6 @@ faster than the SP2 or Paragon").
 
 from __future__ import annotations
 
-from typing import Generator
-
 from ..errors import MpiError
 from .base import collective_algorithm
 
@@ -27,47 +25,41 @@ _RELEASE_PHASE = 1 << 16
 
 
 @collective_algorithm("tree_barrier")
-def tree_barrier(ctx, seq: int, nbytes: int, root: int = 0) -> Generator:
+def tree_barrier(s, nbytes: int, root: int = 0) -> None:
     """Software combine-and-release tree barrier."""
-    rank, size = ctx.rank, ctx.size
+    rank, size = s.rank, s.size
     vrank = (rank - root) % size
     # Arrival phase: binomial combine toward the root.
     mask = 1
     while mask < size:
         if vrank & mask:
             parent = (vrank - mask + root) % size
-            yield from ctx.coll_send(seq, mask.bit_length(), parent, 0,
-                                     op="barrier")
+            s.send(mask.bit_length(), parent, 0, "barrier")
             break
         child_vrank = vrank | mask
         if child_vrank < size:
             child = (child_vrank + root) % size
-            yield from ctx.coll_recv(seq, mask.bit_length(), child,
-                                     op="barrier")
+            s.recv(mask.bit_length(), child, "barrier")
         mask <<= 1
     # Release phase: binomial broadcast from the root.
     mask = 1
     while mask < size:
         if vrank & mask:
             parent = (vrank - mask + root) % size
-            yield from ctx.coll_recv(
-                seq, _RELEASE_PHASE + mask.bit_length(), parent,
-                op="barrier")
+            s.recv(_RELEASE_PHASE + mask.bit_length(), parent, "barrier")
             break
         mask <<= 1
     mask >>= 1
     while mask > 0:
         if vrank + mask < size:
             child = (vrank + mask + root) % size
-            yield from ctx.coll_send(
-                seq, _RELEASE_PHASE + mask.bit_length(), child, 0,
-                op="barrier")
+            s.send(_RELEASE_PHASE + mask.bit_length(), child, 0,
+                   "barrier")
         mask >>= 1
 
 
 @collective_algorithm("hardware_barrier")
-def hardware_barrier(ctx, seq: int, nbytes: int,
-                     root: int = 0) -> Generator:
+def hardware_barrier(s, nbytes: int, root: int = 0) -> None:
     """Barrier over the dedicated barrier-wire network (T3D).
 
     The barrier wire is machine-wide: a sub-communicator cannot use it
@@ -75,11 +67,9 @@ def hardware_barrier(ctx, seq: int, nbytes: int,
     fall back to the software tree — as the T3D's MPI did for
     partition subsets.
     """
-    barrier = ctx.machine.hardware_barrier
-    if barrier is None:
-        raise MpiError(
-            f"{ctx.comm.spec.name} has no hardware barrier network")
-    if not ctx.comm.is_world:
-        yield from tree_barrier(ctx, seq, nbytes, root)
+    if s.spec.barrier_wire is None:
+        raise MpiError(f"{s.spec.name} has no hardware barrier network")
+    if not s.is_world:
+        tree_barrier(s, nbytes, root)
         return
-    yield from barrier.arrive()
+    s.hardware_barrier()

@@ -1,10 +1,18 @@
 """Collective-algorithm registry and shared tree helpers.
 
-Each algorithm is a generator function with the uniform signature
-``algorithm(ctx, seq, nbytes, root)`` where ``ctx`` is the calling
-rank's :class:`~repro.mpi.context.RankContext`, ``seq`` the collective
-sequence number (tag namespace), ``nbytes`` the per-pair message length
-and ``root`` the root rank (ignored by rootless operations).
+Each algorithm is a plain function with the uniform signature
+``algorithm(s, nbytes, root)``: it describes one rank's part of the
+collective by appending steps to the
+:class:`~repro.mpi.schedule.ScheduleBuilder` ``s`` — ``s.send``,
+``s.post``/``s.wait`` (or ``s.recv``), ``s.combine``, ``s.delay`` and
+``s.hardware_barrier`` — and reads only ``s.rank``, ``s.size``,
+``s.is_world`` and ``s.spec`` (the machine facts a schedule may depend
+on).  ``nbytes`` is the per-pair message length and ``root`` the root
+rank (ignored by rootless operations).  Messages are addressed by
+communicator-local rank and tagged by a *phase* that sender and
+receiver derive alike.  An algorithm runs once per (communicator
+shape, rank, root, nbytes): the compiled steps are cached and replayed
+by every later call (:mod:`repro.mpi.schedule`).
 
 Machines select algorithms by name (``MachineSpec.algorithms``), which
 is how the per-machine behaviour differences the paper reports —

@@ -9,16 +9,13 @@ models.
 
 from __future__ import annotations
 
-from typing import Generator
-
 from .base import absolute_rank, collective_algorithm, virtual_rank
 
 __all__ = ["binomial_broadcast"]
 
 
 @collective_algorithm("binomial_broadcast")
-def binomial_broadcast(ctx, seq: int, nbytes: int,
-                       root: int = 0) -> Generator:
+def binomial_broadcast(s, nbytes: int, root: int = 0) -> None:
     """Binomial-tree broadcast (the MPICH/EPCC unbalanced tree).
 
     ``ceil(log2 p)`` rounds; in round ``r`` every rank that already has
@@ -27,16 +24,15 @@ def binomial_broadcast(ctx, seq: int, nbytes: int,
     Message phases are tagged with the bit index of the round's mask so
     sender and receiver agree on the tag.
     """
-    size = ctx.size
-    vrank = virtual_rank(ctx.rank, root, size)
+    size = s.size
+    vrank = virtual_rank(s.rank, root, size)
     mask = 1
     # Receive once from the subtree parent (the rank that differs from
     # us in our lowest set bit).
     while mask < size:
         if vrank & mask:
             parent = absolute_rank(vrank - mask, root, size)
-            yield from ctx.coll_recv(seq, mask.bit_length(), parent,
-                                     op="broadcast")
+            s.recv(mask.bit_length(), parent, "broadcast")
             break
         mask <<= 1
     # Forward to children: one per set bit below our entry mask.
@@ -44,6 +40,5 @@ def binomial_broadcast(ctx, seq: int, nbytes: int,
     while mask > 0:
         if vrank + mask < size:
             child = absolute_rank(vrank + mask, root, size)
-            yield from ctx.coll_send(seq, mask.bit_length(), child, nbytes,
-                                     op="broadcast")
+            s.send(mask.bit_length(), child, nbytes, "broadcast")
         mask >>= 1

@@ -9,8 +9,6 @@ and examples, not by the paper's figures.
 
 from __future__ import annotations
 
-from typing import Generator
-
 from .base import collective_algorithm, get_algorithm
 
 __all__ = ["reduce_broadcast_allreduce", "gather_broadcast_allgather"]
@@ -19,72 +17,39 @@ __all__ = ["reduce_broadcast_allreduce", "gather_broadcast_allgather"]
 _SECOND_STAGE = 1 << 20
 
 
-def _with_phase_offset(ctx, offset: int):
-    """A proxy context whose collective phases are shifted by ``offset``.
-
-    Lets two sub-operations of one composite collective share a
-    sequence number without tag collisions.
-    """
-
-    class _PhaseShifted:
-        def __getattr__(self, name):
-            return getattr(ctx, name)
-
-        def coll_send(self, seq, phase, dst, nbytes, op, **kwargs):
-            return ctx.coll_send(seq, phase + offset, dst, nbytes, op,
-                                 **kwargs)
-
-        def coll_post(self, seq, phase, src):
-            return ctx.coll_post(seq, phase + offset, src)
-
-        def coll_recv(self, seq, phase, src, op, **kwargs):
-            return ctx.coll_recv(seq, phase + offset, src, op, **kwargs)
-
-    return _PhaseShifted()
+def _second_stage(s, op: str, nbytes: int, root: int) -> None:
+    """Append the machine's ``op`` algorithm with its phases shifted
+    past the first stage's, so the two stages of one composite
+    collective share a sequence number without tag collisions."""
+    s.phase_offset += _SECOND_STAGE
+    get_algorithm(s.spec.algorithm_for(op))(s, nbytes, root)
+    s.phase_offset -= _SECOND_STAGE
 
 
 @collective_algorithm("reduce_broadcast_allreduce")
-def reduce_broadcast_allreduce(ctx, seq: int, nbytes: int,
-                               root: int = 0) -> Generator:
+def reduce_broadcast_allreduce(s, nbytes: int, root: int = 0) -> None:
     """Allreduce as reduce-to-root followed by broadcast."""
-    reduce_algorithm = get_algorithm(
-        ctx.comm.spec.algorithm_for("reduce"))
-    broadcast_algorithm = get_algorithm(
-        ctx.comm.spec.algorithm_for("broadcast"))
-    yield from reduce_algorithm(ctx, seq, nbytes, root)
-    yield from broadcast_algorithm(_with_phase_offset(ctx, _SECOND_STAGE),
-                                   seq, nbytes, root)
+    get_algorithm(s.spec.algorithm_for("reduce"))(s, nbytes, root)
+    _second_stage(s, "broadcast", nbytes, root)
 
 
 @collective_algorithm("reduce_scatter_composite")
-def reduce_scatter_composite(ctx, seq: int, nbytes: int,
-                             root: int = 0) -> Generator:
+def reduce_scatter_composite(s, nbytes: int, root: int = 0) -> None:
     """Reduce-scatter as reduce of the full vector, then scatter.
 
     The reduce carries all ``p`` blocks (``p * nbytes``); the scatter
     hands each rank its block — the straightforward composition the
     era's libraries used for ``MPI_Reduce_scatter``.
     """
-    reduce_algorithm = get_algorithm(
-        ctx.comm.spec.algorithm_for("reduce"))
-    scatter_algorithm = get_algorithm(
-        ctx.comm.spec.algorithm_for("scatter"))
-    yield from reduce_algorithm(ctx, seq, nbytes * ctx.size, root)
-    yield from scatter_algorithm(_with_phase_offset(ctx, _SECOND_STAGE),
-                                 seq, nbytes, root)
+    get_algorithm(s.spec.algorithm_for("reduce"))(s, nbytes * s.size, root)
+    _second_stage(s, "scatter", nbytes, root)
 
 
 @collective_algorithm("gather_broadcast_allgather")
-def gather_broadcast_allgather(ctx, seq: int, nbytes: int,
-                               root: int = 0) -> Generator:
+def gather_broadcast_allgather(s, nbytes: int, root: int = 0) -> None:
     """Allgather as gather-to-root followed by broadcast of the result.
 
     The broadcast carries the concatenated buffer (``p * nbytes``).
     """
-    gather_algorithm = get_algorithm(
-        ctx.comm.spec.algorithm_for("gather"))
-    broadcast_algorithm = get_algorithm(
-        ctx.comm.spec.algorithm_for("broadcast"))
-    yield from gather_algorithm(ctx, seq, nbytes, root)
-    yield from broadcast_algorithm(_with_phase_offset(ctx, _SECOND_STAGE),
-                                   seq, nbytes * ctx.size, root)
+    get_algorithm(s.spec.algorithm_for("gather"))(s, nbytes, root)
+    _second_stage(s, "broadcast", nbytes * s.size, root)

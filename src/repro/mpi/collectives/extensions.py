@@ -18,7 +18,7 @@ extension bench races them against the period algorithms:
 
 from __future__ import annotations
 
-from typing import Generator, Tuple
+from typing import Tuple
 
 from .base import absolute_rank, collective_algorithm, virtual_rank
 
@@ -44,8 +44,7 @@ def block_counts(nbytes: int, size: int) -> Tuple[int, ...]:
 
 
 @collective_algorithm("scatter_allgather_broadcast")
-def scatter_allgather_broadcast(ctx, seq: int, nbytes: int,
-                                root: int = 0) -> Generator:
+def scatter_allgather_broadcast(s, nbytes: int, root: int = 0) -> None:
     """van de Geijn broadcast: linear scatter + ring allgather.
 
     Block ``i`` (sized by :func:`block_counts`, so the blocks sum to
@@ -54,48 +53,42 @@ def scatter_allgather_broadcast(ctx, seq: int, nbytes: int,
     right neighbour, so after ``p - 1`` steps every rank holds the
     whole message having moved only its fair share of the remainder.
     """
-    size = ctx.size
-    vrank = virtual_rank(ctx.rank, root, size)
+    size = s.size
+    vrank = virtual_rank(s.rank, root, size)
     counts = block_counts(nbytes, size)
     # Stage 1: the root scatters one block per rank.
-    if ctx.rank == root:
+    if s.rank == root:
         for dst in range(size):
             if dst != root:
-                yield from ctx.coll_send(seq, 0, dst,
-                                         counts[virtual_rank(dst, root,
-                                                             size)],
-                                         op="broadcast")
+                s.send(0, dst, counts[virtual_rank(dst, root, size)],
+                       "broadcast")
     else:
-        yield from ctx.coll_recv(seq, 0, root, op="broadcast")
+        s.recv(0, root, "broadcast")
     # Stage 2: ring allgather of the blocks; after p-1 steps every rank
     # holds the whole message.
-    right = (ctx.rank + 1) % size
-    left = (ctx.rank - 1) % size
+    right = (s.rank + 1) % size
+    left = (s.rank - 1) % size
     for step in range(size - 1):
-        posted = ctx.coll_post(seq, _RING_PHASE + step, left)
-        yield from ctx.coll_send(seq, _RING_PHASE + step, right,
-                                 counts[(vrank - step) % size],
-                                 op="broadcast")
-        yield from ctx.coll_wait(posted, op="broadcast")
+        posted = s.post(_RING_PHASE + step, left)
+        s.send(_RING_PHASE + step, right, counts[(vrank - step) % size],
+               "broadcast")
+        s.wait(posted, "broadcast")
 
 
 @collective_algorithm("ring_allgather")
-def ring_allgather(ctx, seq: int, nbytes: int,
-                   root: int = 0) -> Generator:
+def ring_allgather(s, nbytes: int, root: int = 0) -> None:
     """Ring allgather: p-1 neighbour exchanges of one block each."""
-    size = ctx.size
-    right = (ctx.rank + 1) % size
-    left = (ctx.rank - 1) % size
+    size = s.size
+    right = (s.rank + 1) % size
+    left = (s.rank - 1) % size
     for step in range(size - 1):
-        posted = ctx.coll_post(seq, step, left)
-        yield from ctx.coll_send(seq, step, right, nbytes,
-                                 op="allgather")
-        yield from ctx.coll_wait(posted, op="allgather")
+        posted = s.post(step, left)
+        s.send(step, right, nbytes, "allgather")
+        s.wait(posted, "allgather")
 
 
 @collective_algorithm("ring_reduce_scatter")
-def ring_reduce_scatter(ctx, seq: int, nbytes: int,
-                        root: int = 0) -> Generator:
+def ring_reduce_scatter(s, nbytes: int, root: int = 0) -> None:
     """Bandwidth-optimal ring reduce-scatter.
 
     ``p-1`` steps: each rank passes a partially reduced block to its
@@ -103,41 +96,37 @@ def ring_reduce_scatter(ctx, seq: int, nbytes: int,
     every rank ends with one fully reduced block having moved only
     ``(p-1) * nbytes`` bytes.
     """
-    size = ctx.size
-    right = (ctx.rank + 1) % size
-    left = (ctx.rank - 1) % size
+    size = s.size
+    right = (s.rank + 1) % size
+    left = (s.rank - 1) % size
     for step in range(size - 1):
-        posted = ctx.coll_post(seq, step, left)
-        yield from ctx.coll_send(seq, step, right, nbytes,
-                                 op="reduce_scatter")
-        yield from ctx.coll_wait(posted, op="reduce_scatter")
-        yield from ctx.combine(nbytes)
+        posted = s.post(step, left)
+        s.send(step, right, nbytes, "reduce_scatter")
+        s.wait(posted, "reduce_scatter")
+        s.combine(nbytes)
 
 
 @collective_algorithm("binomial_tree_gather")
-def binomial_tree_gather(ctx, seq: int, nbytes: int,
-                         root: int = 0) -> Generator:
+def binomial_tree_gather(s, nbytes: int, root: int = 0) -> None:
     """Binomial-tree gather: subtrees merge, then forward upward.
 
     Virtual rank ``v`` receives the aggregated blocks of each subtree
     hanging off its set-bit children, then sends its whole accumulated
     segment (its subtree size times ``nbytes``) to its parent.
     """
-    size = ctx.size
-    vrank = virtual_rank(ctx.rank, root, size)
+    size = s.size
+    vrank = virtual_rank(s.rank, root, size)
     accumulated = nbytes  # own block
     mask = 1
     while mask < size:
         if vrank & mask:
             parent = absolute_rank(vrank - mask, root, size)
-            yield from ctx.coll_send(seq, mask.bit_length(), parent,
-                                     accumulated, op="gather")
+            s.send(mask.bit_length(), parent, accumulated, "gather")
             return
         source_vrank = vrank | mask
         if source_vrank < size:
             source = absolute_rank(source_vrank, root, size)
             subtree = min(mask, size - source_vrank)
-            yield from ctx.coll_recv(seq, mask.bit_length(), source,
-                                     op="gather")
+            s.recv(mask.bit_length(), source, "gather")
             accumulated += subtree * nbytes
         mask <<= 1

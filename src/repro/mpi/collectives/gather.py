@@ -11,20 +11,17 @@ T3D, and 18 us through the Paragon's NX kernel).
 
 from __future__ import annotations
 
-from typing import Generator
-
 from .base import collective_algorithm
 
 __all__ = ["linear_gather"]
 
 
 @collective_algorithm("linear_gather")
-def linear_gather(ctx, seq: int, nbytes: int, root: int = 0) -> Generator:
+def linear_gather(s, nbytes: int, root: int = 0) -> None:
     """Direct gather: leaves send to the root; root drains in order."""
-    if ctx.rank != root:
-        yield from ctx.coll_send(seq, 0, root, nbytes, op="gather")
+    if s.rank != root:
+        s.send(0, root, nbytes, "gather")
         return
-    posted = [ctx.coll_post(seq, 0, src)
-              for src in range(ctx.size) if src != root]
+    posted = [s.post(0, src) for src in range(s.size) if src != root]
     for receive in posted:
-        yield from ctx.coll_wait(receive, op="gather")
+        s.wait(receive, "gather")

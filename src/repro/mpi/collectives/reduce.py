@@ -10,57 +10,51 @@ work the interior ranks do.
 
 from __future__ import annotations
 
-from typing import Generator
-
 from .base import absolute_rank, collective_algorithm, virtual_rank
 
 __all__ = ["binomial_reduce", "binary_tree_reduce"]
 
 
 @collective_algorithm("binomial_reduce")
-def binomial_reduce(ctx, seq: int, nbytes: int,
-                    root: int = 0) -> Generator:
+def binomial_reduce(s, nbytes: int, root: int = 0) -> None:
     """MPICH binomial-tree reduce for commutative operators.
 
     Mirror image of the binomial broadcast: in round ``r`` ranks whose
     virtual rank has bit ``r`` set send their partial result to the
     rank ``2**r`` below them and drop out; the receiver combines.
     """
-    size = ctx.size
-    vrank = virtual_rank(ctx.rank, root, size)
+    size = s.size
+    vrank = virtual_rank(s.rank, root, size)
     mask = 1
     while mask < size:
         if vrank & mask:
             parent = absolute_rank(vrank - mask, root, size)
-            yield from ctx.coll_send(seq, mask.bit_length(), parent, nbytes,
-                                     op="reduce")
+            s.send(mask.bit_length(), parent, nbytes, "reduce")
             break
         source_vrank = vrank | mask
         if source_vrank < size:
             source = absolute_rank(source_vrank, root, size)
-            yield from ctx.coll_recv(seq, mask.bit_length(), source,
-                                     op="reduce")
-            yield from ctx.combine(nbytes)
+            s.recv(mask.bit_length(), source, "reduce")
+            s.combine(nbytes)
         mask <<= 1
 
 
 @collective_algorithm("binary_tree_reduce")
-def binary_tree_reduce(ctx, seq: int, nbytes: int,
-                       root: int = 0) -> Generator:
+def binary_tree_reduce(s, nbytes: int, root: int = 0) -> None:
     """EPCC-style binary-tree reduce.
 
     Virtual rank ``v`` has children ``2v+1`` and ``2v+2``; every
     interior rank receives from both children (left first), combines,
     and forwards to its parent ``(v-1)//2``.
     """
-    size = ctx.size
-    vrank = virtual_rank(ctx.rank, root, size)
-    posted = [ctx.coll_post(seq, 0, absolute_rank(child_vrank, root, size))
+    size = s.size
+    vrank = virtual_rank(s.rank, root, size)
+    posted = [s.post(0, absolute_rank(child_vrank, root, size))
               for child_vrank in (2 * vrank + 1, 2 * vrank + 2)
               if child_vrank < size]
     for receive in posted:  # both children drain concurrently
-        yield from ctx.coll_wait(receive, op="reduce")
-        yield from ctx.combine(nbytes)
+        s.wait(receive, "reduce")
+        s.combine(nbytes)
     if vrank > 0:
         parent = absolute_rank((vrank - 1) // 2, root, size)
-        yield from ctx.coll_send(seq, 0, parent, nbytes, op="reduce")
+        s.send(0, parent, nbytes, "reduce")

@@ -14,7 +14,7 @@ host send/receive path.
 
 from __future__ import annotations
 
-from typing import Generator
+from typing import Optional
 
 from ..errors import MpiError
 from .base import collective_algorithm
@@ -22,9 +22,8 @@ from .base import collective_algorithm
 __all__ = ["recursive_doubling_scan", "offloaded_scan"]
 
 
-def _scan_pattern(ctx, seq: int, nbytes: int,
-                  send_kwargs: dict, recv_kwargs: dict,
-                  combine_on_host: bool) -> Generator:
+def _scan_pattern(s, nbytes: int, sw_cost_us: Optional[float],
+                  combine_on_host: bool) -> None:
     """Shared recursive-doubling message pattern.
 
     In round ``r`` (mask ``2**r``), rank ``i`` sends its running
@@ -32,34 +31,31 @@ def _scan_pattern(ctx, seq: int, nbytes: int,
     the received operand into both the partial and (since the sender is
     a lower rank) the local prefix result.
     """
-    rank, size = ctx.rank, ctx.size
+    rank, size = s.rank, s.size
     mask = 1
     while mask < size:
         phase = mask.bit_length()
         posted = None
         if rank - mask >= 0:
-            posted = ctx.coll_post(seq, phase, rank - mask)
+            posted = s.post(phase, rank - mask)
         if rank + mask < size:
-            yield from ctx.coll_send(seq, phase, rank + mask, nbytes,
-                                     op="scan", **send_kwargs)
+            s.send(phase, rank + mask, nbytes, "scan",
+                   sw_cost_us=sw_cost_us)
         if posted is not None:
-            yield from ctx.coll_wait(posted, op="scan", **recv_kwargs)
+            s.wait(posted, "scan", sw_cost_us=sw_cost_us)
             if combine_on_host:
-                yield from ctx.combine(nbytes)
+                s.combine(nbytes)
         mask <<= 1
 
 
 @collective_algorithm("recursive_doubling_scan")
-def recursive_doubling_scan(ctx, seq: int, nbytes: int,
-                            root: int = 0) -> Generator:
+def recursive_doubling_scan(s, nbytes: int, root: int = 0) -> None:
     """Recursive-doubling scan through the host messaging path."""
-    yield from _scan_pattern(ctx, seq, nbytes, send_kwargs={},
-                             recv_kwargs={}, combine_on_host=True)
+    _scan_pattern(s, nbytes, sw_cost_us=None, combine_on_host=True)
 
 
 @collective_algorithm("offloaded_scan")
-def offloaded_scan(ctx, seq: int, nbytes: int,
-                   root: int = 0) -> Generator:
+def offloaded_scan(s, nbytes: int, root: int = 0) -> None:
     """Coprocessor-offloaded scan (Paragon NX native path).
 
     Same message pattern, but each message's software cost is the
@@ -67,16 +63,12 @@ def offloaded_scan(ctx, seq: int, nbytes: int,
     between the send and receive halves), bypassing the host kernel
     path and its buffer copies.
     """
-    software = ctx.comm.spec.software
+    software = s.spec.software
     if software.offload_round_us is None or \
             software.offload_us_per_byte is None:
-        raise MpiError(
-            f"{ctx.comm.spec.name} has no offloaded combining path")
+        raise MpiError(f"{s.spec.name} has no offloaded combining path")
     if software.offload_setup_us > 0:
-        yield from ctx.delay(software.offload_setup_us)
+        s.delay(software.offload_setup_us)
     half_cost = (software.offload_round_us +
                  nbytes * software.offload_us_per_byte) / 2.0
-    yield from _scan_pattern(ctx, seq, nbytes,
-                             send_kwargs={"sw_cost_us": half_cost},
-                             recv_kwargs={"sw_cost_us": half_cost},
-                             combine_on_host=False)
+    _scan_pattern(s, nbytes, sw_cost_us=half_cost, combine_on_host=False)

@@ -9,19 +9,17 @@ destination on the SP2), not a full one-way latency per destination.
 
 from __future__ import annotations
 
-from typing import Generator
-
 from .base import collective_algorithm
 
 __all__ = ["linear_scatter"]
 
 
 @collective_algorithm("linear_scatter")
-def linear_scatter(ctx, seq: int, nbytes: int, root: int = 0) -> Generator:
+def linear_scatter(s, nbytes: int, root: int = 0) -> None:
     """Direct scatter: root sends to every other rank in rank order."""
-    if ctx.rank == root:
-        for dst in range(ctx.size):
+    if s.rank == root:
+        for dst in range(s.size):
             if dst != root:
-                yield from ctx.coll_send(seq, 0, dst, nbytes, op="scatter")
+                s.send(0, dst, nbytes, "scatter")
         return
-    yield from ctx.coll_recv(seq, 0, root, op="scatter")
+    s.recv(0, root, "scatter")

@@ -33,7 +33,7 @@ Registered names:
 
 from __future__ import annotations
 
-from typing import Callable, Generator, List, Tuple
+from typing import Callable, List, Tuple
 
 from .base import absolute_rank, collective_algorithm, virtual_rank
 from .extensions import block_counts
@@ -81,81 +81,68 @@ def _group_bytes(vrank: int, group: int, counts: Tuple[int, ...]) -> int:
 
 
 @collective_algorithm("recursive_doubling_allgather")
-def recursive_doubling_allgather(ctx, seq: int, nbytes: int,
-                                 root: int = 0) -> Generator:
+def recursive_doubling_allgather(s, nbytes: int, root: int = 0) -> None:
     """Recursive-doubling allgather: log2(p) doubling exchanges.
 
     Round ``r`` exchanges the accumulated ``2**r``-slot group with the
     partner ``rank ^ 2**r``; folded extra ranks contribute their block
     up front and receive the full ``p * nbytes`` result at the end.
     """
-    size, rank = ctx.size, ctx.rank
+    size, rank = s.size, s.rank
     core = _core_size(size)
     extra = size - core
     if rank >= core:
-        yield from ctx.coll_send(seq, _FOLD_PHASE, rank - core, nbytes,
-                                 op="allgather")
-        yield from ctx.coll_recv(seq, _UNFOLD_PHASE, rank - core,
-                                 op="allgather")
+        s.send(_FOLD_PHASE, rank - core, nbytes, "allgather")
+        s.recv(_UNFOLD_PHASE, rank - core, "allgather")
         return
     if rank < extra:
-        yield from ctx.coll_recv(seq, _FOLD_PHASE, rank + core,
-                                 op="allgather")
+        s.recv(_FOLD_PHASE, rank + core, "allgather")
     counts = tuple(nbytes * (2 if slot < extra else 1)
                    for slot in range(core))
     mask = 1
     while mask < core:
         partner = rank ^ mask
         phase = mask.bit_length()
-        posted = ctx.coll_post(seq, phase, partner)
-        yield from ctx.coll_send(seq, phase, partner,
-                                 _group_bytes(rank, mask, counts),
-                                 op="allgather")
-        yield from ctx.coll_wait(posted, op="allgather")
+        posted = s.post(phase, partner)
+        s.send(phase, partner, _group_bytes(rank, mask, counts), "allgather")
+        s.wait(posted, "allgather")
         mask <<= 1
     if rank < extra:
-        yield from ctx.coll_send(seq, _UNFOLD_PHASE, rank + core,
-                                 size * nbytes, op="allgather")
+        s.send(_UNFOLD_PHASE, rank + core, size * nbytes, "allgather")
 
 
 @collective_algorithm("recursive_doubling_allreduce")
-def recursive_doubling_allreduce(ctx, seq: int, nbytes: int,
-                                 root: int = 0) -> Generator:
+def recursive_doubling_allreduce(s, nbytes: int, root: int = 0) -> None:
     """Recursive-doubling allreduce: full-vector exchange per round.
 
     Latency-optimal (log2(p) rounds) but each round moves the whole
     ``nbytes`` vector — the short-message allreduce.
     """
-    size, rank = ctx.size, ctx.rank
+    size, rank = s.size, s.rank
     core = _core_size(size)
     extra = size - core
     if rank >= core:
-        yield from ctx.coll_send(seq, _FOLD_PHASE, rank - core, nbytes,
-                                 op="allreduce")
-        yield from ctx.coll_recv(seq, _UNFOLD_PHASE, rank - core,
-                                 op="allreduce")
+        s.send(_FOLD_PHASE, rank - core, nbytes, "allreduce")
+        s.recv(_UNFOLD_PHASE, rank - core, "allreduce")
         return
     if rank < extra:
-        yield from ctx.coll_recv(seq, _FOLD_PHASE, rank + core,
-                                 op="allreduce")
-        yield from ctx.combine(nbytes)
+        s.recv(_FOLD_PHASE, rank + core, "allreduce")
+        s.combine(nbytes)
     mask = 1
     while mask < core:
         partner = rank ^ mask
         phase = mask.bit_length()
-        posted = ctx.coll_post(seq, phase, partner)
-        yield from ctx.coll_send(seq, phase, partner, nbytes,
-                                 op="allreduce")
-        yield from ctx.coll_wait(posted, op="allreduce")
-        yield from ctx.combine(nbytes)
+        posted = s.post(phase, partner)
+        s.send(phase, partner, nbytes, "allreduce")
+        s.wait(posted, "allreduce")
+        s.combine(nbytes)
         mask <<= 1
     if rank < extra:
-        yield from ctx.coll_send(seq, _UNFOLD_PHASE, rank + core,
-                                 nbytes, op="allreduce")
+        s.send(_UNFOLD_PHASE, rank + core, nbytes, "allreduce")
 
 
-def _recursive_halving(ctx, seq: int, rank: int, core: int,
-                       counts: Tuple[int, ...], op: str) -> Generator:
+def _recursive_halving(s, rank: int, core: int, counts: Tuple[int, ...],
+                       op: str) -> None:
     """Shared halving loop: ``rank`` ends owning ``counts[rank]`` bytes.
 
     Round granularity ``g`` (``core/2, ..., 1``): exchange with
@@ -166,50 +153,41 @@ def _recursive_halving(ctx, seq: int, rank: int, core: int,
     while group:
         partner = rank ^ group
         phase = group.bit_length()
-        posted = ctx.coll_post(seq, phase, partner)
-        yield from ctx.coll_send(seq, phase, partner,
-                                 _group_bytes(partner, group, counts),
-                                 op=op)
-        yield from ctx.coll_wait(posted, op=op)
-        yield from ctx.combine(_group_bytes(rank, group, counts))
+        posted = s.post(phase, partner)
+        s.send(phase, partner, _group_bytes(partner, group, counts), op)
+        s.wait(posted, op)
+        s.combine(_group_bytes(rank, group, counts))
         group >>= 1
 
 
 @collective_algorithm("recursive_halving_reduce_scatter")
-def recursive_halving_reduce_scatter(ctx, seq: int, nbytes: int,
-                                     root: int = 0) -> Generator:
+def recursive_halving_reduce_scatter(s, nbytes: int, root: int = 0) -> None:
     """Recursive-halving reduce-scatter (``nbytes`` per result block).
 
     Every rank contributes the full ``p * nbytes`` vector; halving
     leaves each core rank with its own reduced block (plus its folded
     twin's, which the unfold exchange hands back).
     """
-    size, rank = ctx.size, ctx.rank
+    size, rank = s.size, s.rank
     core = _core_size(size)
     extra = size - core
     vector = size * nbytes
     if rank >= core:
-        yield from ctx.coll_send(seq, _FOLD_PHASE, rank - core, vector,
-                                 op="reduce_scatter")
-        yield from ctx.coll_recv(seq, _UNFOLD_PHASE, rank - core,
-                                 op="reduce_scatter")
+        s.send(_FOLD_PHASE, rank - core, vector, "reduce_scatter")
+        s.recv(_UNFOLD_PHASE, rank - core, "reduce_scatter")
         return
     if rank < extra:
-        yield from ctx.coll_recv(seq, _FOLD_PHASE, rank + core,
-                                 op="reduce_scatter")
-        yield from ctx.combine(vector)
+        s.recv(_FOLD_PHASE, rank + core, "reduce_scatter")
+        s.combine(vector)
     counts = tuple(nbytes * (2 if slot < extra else 1)
                    for slot in range(core))
-    yield from _recursive_halving(ctx, seq, rank, core, counts,
-                                  op="reduce_scatter")
+    _recursive_halving(s, rank, core, counts, "reduce_scatter")
     if rank < extra:
-        yield from ctx.coll_send(seq, _UNFOLD_PHASE, rank + core,
-                                 nbytes, op="reduce_scatter")
+        s.send(_UNFOLD_PHASE, rank + core, nbytes, "reduce_scatter")
 
 
 @collective_algorithm("rabenseifner_allreduce")
-def rabenseifner_allreduce(ctx, seq: int, nbytes: int,
-                           root: int = 0) -> Generator:
+def rabenseifner_allreduce(s, nbytes: int, root: int = 0) -> None:
     """Rabenseifner allreduce: reduce-scatter + allgather composition.
 
     Recursive halving scatters the reduction of the ``nbytes`` vector
@@ -217,36 +195,30 @@ def rabenseifner_allreduce(ctx, seq: int, nbytes: int,
     recursive doubling gathers the reduced segments back — about half
     the bytes of reduce-then-broadcast for long vectors.
     """
-    size, rank = ctx.size, ctx.rank
+    size, rank = s.size, s.rank
     core = _core_size(size)
     extra = size - core
     if rank >= core:
-        yield from ctx.coll_send(seq, _FOLD_PHASE, rank - core, nbytes,
-                                 op="allreduce")
-        yield from ctx.coll_recv(seq, _UNFOLD_PHASE, rank - core,
-                                 op="allreduce")
+        s.send(_FOLD_PHASE, rank - core, nbytes, "allreduce")
+        s.recv(_UNFOLD_PHASE, rank - core, "allreduce")
         return
     if rank < extra:
-        yield from ctx.coll_recv(seq, _FOLD_PHASE, rank + core,
-                                 op="allreduce")
-        yield from ctx.combine(nbytes)
+        s.recv(_FOLD_PHASE, rank + core, "allreduce")
+        s.combine(nbytes)
     segments = block_counts(nbytes, core)
-    yield from _recursive_halving(ctx, seq, rank, core, segments,
-                                  op="allreduce")
+    _recursive_halving(s, rank, core, segments, "allreduce")
     # Allgather the reduced segments by recursive doubling.
     group = 1
     while group < core:
         partner = rank ^ group
         phase = _STAGE_PHASE + group.bit_length()
-        posted = ctx.coll_post(seq, phase, partner)
-        yield from ctx.coll_send(seq, phase, partner,
-                                 _group_bytes(rank, group, segments),
-                                 op="allreduce")
-        yield from ctx.coll_wait(posted, op="allreduce")
+        posted = s.post(phase, partner)
+        s.send(phase, partner, _group_bytes(rank, group, segments),
+               "allreduce")
+        s.wait(posted, "allreduce")
         group <<= 1
     if rank < extra:
-        yield from ctx.coll_send(seq, _UNFOLD_PHASE, rank + core,
-                                 nbytes, op="allreduce")
+        s.send(_UNFOLD_PHASE, rank + core, nbytes, "allreduce")
 
 
 # -- segmented/pipelined binomial trees ---------------------------------
@@ -295,10 +267,9 @@ def make_segmented_broadcast(segment_bytes: int) -> Callable:
         raise ValueError(f"segment_bytes must be >= 1, got "
                          f"{segment_bytes}")
 
-    def segmented_broadcast(ctx, seq: int, nbytes: int,
-                            root: int = 0) -> Generator:
-        size = ctx.size
-        vrank = virtual_rank(ctx.rank, root, size)
+    def segmented_broadcast(s, nbytes: int, root: int = 0) -> None:
+        size = s.size
+        vrank = virtual_rank(s.rank, root, size)
         entry, children = _binomial_links(vrank, size)
         parent = absolute_rank(vrank - entry, root, size) \
             if entry is not None else None
@@ -306,13 +277,11 @@ def make_segmented_broadcast(segment_bytes: int) -> Callable:
                                                        segment_bytes)):
             base = index * _SEGMENT_STRIDE
             if parent is not None:
-                yield from ctx.coll_recv(seq, base + entry.bit_length(),
-                                         parent, op="broadcast")
+                s.recv(base + entry.bit_length(), parent, "broadcast")
             for child_vrank, child_mask in children:
                 child = absolute_rank(child_vrank, root, size)
-                yield from ctx.coll_send(seq,
-                                         base + child_mask.bit_length(),
-                                         child, segment, op="broadcast")
+                s.send(base + child_mask.bit_length(), child, segment,
+                       "broadcast")
 
     return segmented_broadcast
 
@@ -324,10 +293,9 @@ def make_segmented_reduce(segment_bytes: int) -> Callable:
         raise ValueError(f"segment_bytes must be >= 1, got "
                          f"{segment_bytes}")
 
-    def segmented_reduce(ctx, seq: int, nbytes: int,
-                         root: int = 0) -> Generator:
-        size = ctx.size
-        vrank = virtual_rank(ctx.rank, root, size)
+    def segmented_reduce(s, nbytes: int, root: int = 0) -> None:
+        size = s.size
+        vrank = virtual_rank(s.rank, root, size)
         entry, children = _binomial_links(vrank, size)
         # Combine in increasing-mask order, like the plain binomial
         # reduce (children were listed largest-first).
@@ -337,14 +305,11 @@ def make_segmented_reduce(segment_bytes: int) -> Callable:
             base = index * _SEGMENT_STRIDE
             for child_vrank, child_mask in children:
                 child = absolute_rank(child_vrank, root, size)
-                yield from ctx.coll_recv(seq,
-                                         base + child_mask.bit_length(),
-                                         child, op="reduce")
-                yield from ctx.combine(segment)
+                s.recv(base + child_mask.bit_length(), child, "reduce")
+                s.combine(segment)
             if entry is not None:
                 parent = absolute_rank(vrank - entry, root, size)
-                yield from ctx.coll_send(seq, base + entry.bit_length(),
-                                         parent, segment, op="reduce")
+                s.send(base + entry.bit_length(), parent, segment, "reduce")
 
     return segmented_reduce
 

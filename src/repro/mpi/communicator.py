@@ -15,7 +15,6 @@ paper reports.
 
 from __future__ import annotations
 
-import itertools
 from typing import Dict, List, Optional, Sequence
 
 from ..machines import Machine
@@ -23,14 +22,10 @@ from ..obs.spans import CollectiveObserver
 from ..sim import Event
 from .context import RankContext
 from .errors import MpiError, RankError
+from .schedule import SCHEDULES, Schedule, ScheduleScope
 from .transport import Transport
 
 __all__ = ["Communicator"]
-
-#: Process-wide source of unique communicator ids (they only need to be
-#: unique within one machine's transport, but global uniqueness is
-#: simplest and harmless).
-_COMM_IDS = itertools.count()
 
 
 class Communicator:
@@ -47,7 +42,10 @@ class Communicator:
                  world_ranks: Optional[Sequence[int]] = None,
                  transport: Optional[Transport] = None):
         self.machine = machine
-        self.comm_id = next(_COMM_IDS)
+        # Ids are numbered per machine — the world is 0, splits count
+        # up — so message tags and trace spans do not depend on what
+        # else the process built before.
+        self.comm_id = next(machine.comm_ids)
         self.world_ranks: List[int] = list(
             range(machine.num_nodes) if world_ranks is None
             else world_ranks)
@@ -65,6 +63,8 @@ class Communicator:
         self._split_calls: Dict[int, list] = {}
         self._split_events: Dict[int, Event] = {}
         self._split_seq = 0
+        self._scope = ScheduleScope(machine.spec, self.size, self.is_world,
+                                    self.world_ranks)
 
     # -- collective serialization fence ------------------------------------
     def completion_event(self, seq: int) -> Event:
@@ -113,6 +113,11 @@ class Communicator:
         if not 0 <= rank < self.size:
             raise RankError(rank, self.size)
         return self.world_ranks[rank]
+
+    def schedule(self, algorithm: str, rank: int, nbytes: int,
+                 root: int) -> Schedule:
+        """Compiled steps of local ``rank`` running ``algorithm``."""
+        return SCHEDULES.get(algorithm, self._scope, rank, nbytes, root)
 
     # -- MPI_Comm_split -----------------------------------------------------
     def register_split(self, rank: int, color: Optional[int],

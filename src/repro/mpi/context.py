@@ -14,10 +14,11 @@ All blocking operations are generators and must be driven with
 from __future__ import annotations
 
 import math
-from typing import Generator, Optional, TYPE_CHECKING
+from typing import Generator, List, Optional, TYPE_CHECKING
 
 from ..sim import Event
 from .errors import MpiError, RankError
+from .schedule import HW_BARRIER, POST, SEND, WAIT
 from .transport import PostedReceive, Transport
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -115,44 +116,7 @@ class RankContext:
         envelope = yield from self.wait(receive, **kwargs)
         return envelope
 
-    # -- collective plumbing (used by algorithm implementations) -----------
-    def coll_send(self, seq: int, phase: int, dst: int, nbytes: int,
-                  op: str, **kwargs) -> Generator[Event, None, None]:
-        """Send within collective ``seq``, phase ``phase``."""
-        phase_span = self.comm.obs.phase(seq, phase, self.env.now)
-        yield from self.transport.send(
-            self.world_rank, self.comm.world_rank_of(dst), nbytes,
-            ("c", self.comm.comm_id, seq, phase), op=op,
-            parent_span=phase_span, **kwargs)
-
-    def coll_post(self, seq: int, phase: int, src: int) -> PostedReceive:
-        """Post a receive within collective ``seq``, phase ``phase``."""
-        self.comm.obs.phase(seq, phase, self.env.now)
-        return self.transport.post_receive(
-            self.world_rank, self.comm.world_rank_of(src),
-            ("c", self.comm.comm_id, seq, phase))
-
-    def coll_wait(self, receive: PostedReceive, op: str,
-                  **kwargs) -> Generator[Event, None, object]:
-        """Complete a collective-phase receive."""
-        envelope = yield from self.transport.complete_receive(
-            self.world_rank, receive, op=op, **kwargs)
-        return envelope
-
-    def coll_recv(self, seq: int, phase: int, src: int, op: str,
-                  **kwargs) -> Generator[Event, None, object]:
-        """Blocking receive within a collective phase."""
-        receive = self.coll_post(seq, phase, src)
-        envelope = yield from self.coll_wait(receive, op, **kwargs)
-        return envelope
-
-    def combine(self, nbytes: int) -> Generator[Event, None, None]:
-        """Apply the reduction operator to one received operand."""
-        software = self.comm.spec.software
-        cost = software.reduce_round_us + \
-            nbytes * software.reduce_us_per_byte
-        yield self.env.timeout(cost * self.machine.jitter(self.world_rank))
-
+    # -- local computation ---------------------------------------------------
     def delay(self, base_us: float) -> Generator[Event, None, None]:
         """Jittered software delay on this rank's CPU."""
         yield self.env.timeout(base_us * self.machine.jitter(self.world_rank))
@@ -184,20 +148,57 @@ class RankContext:
     # -- collectives ----------------------------------------------------------
     def collective(self, op: str, nbytes: int = 0,
                    root: int = 0) -> Generator[Event, None, None]:
-        """Run collective ``op`` by name (dispatch used by the bench)."""
+        """Run collective ``op`` by name (dispatch used by the bench).
+
+        Fetches this rank's compiled schedule (:mod:`repro.mpi.
+        schedule`), passes the fence and pays the entry costs, then
+        executes the schedule's steps in one loop.
+        """
         if op not in COLLECTIVE_OPS:
             raise MpiError(f"unknown collective {op!r}")
         if not 0 <= root < self.size:
             raise RankError(root, self.size)
         if nbytes < 0:
             raise ValueError(f"negative message size {nbytes}")
-        from .collectives import get_algorithm
-        algorithm = get_algorithm(
-            self.comm.spec.algorithm_for(op, nbytes=nbytes, p=self.size))
+        comm = self.comm
+        steps = comm.schedule(
+            comm.spec.algorithm_for(op, nbytes=nbytes, p=comm.size),
+            self.rank, nbytes, root)
         seq = yield from self._enter_collective(op, nbytes)
-        self.comm.obs.enter(seq, op, nbytes, self.env.now)
-        yield from algorithm(self, seq, nbytes, root)
-        self.comm.report_completion(seq)
+        obs = comm.obs
+        machine = comm.machine
+        env = machine.env
+        obs.enter(seq, op, nbytes, env.now)
+        # Tracing and metrics are fixed when the world is built, and
+        # phase() does nothing without them.
+        observe = obs.active
+        transport = comm.transport
+        me = self.world_rank
+        comm_id = comm.comm_id
+        posted: List[PostedReceive] = []
+        for step in steps:
+            kind = step[0]
+            if kind == SEND:
+                _, phase, dst, count, step_op, buffered, sw_cost_us = step
+                span = obs.phase(seq, phase, env._now) if observe else None
+                yield from transport.send(
+                    me, dst, count, ("c", comm_id, seq, phase), step_op,
+                    buffered, sw_cost_us, span)
+            elif kind == POST:
+                _, phase, src = step
+                if observe:
+                    obs.phase(seq, phase, env._now)
+                posted.append(transport.post_receive(
+                    me, src, ("c", comm_id, seq, phase)))
+            elif kind == WAIT:
+                _, slot, step_op, buffered, sw_cost_us = step
+                yield from transport.complete_receive(
+                    me, posted[slot], step_op, buffered, sw_cost_us)
+            elif kind == HW_BARRIER:
+                yield from machine.hardware_barrier.arrive()
+            else:  # COMBINE or DELAY: jittered CPU time
+                yield env.timeout(step[1] * machine.jitter(me))
+        comm.report_completion(seq)
 
     def barrier(self) -> Generator[Event, None, None]:
         """``MPI_Barrier``: block until all ranks have entered."""

@@ -5,11 +5,11 @@ from a spec, and a communicator, and runs SPMD programs on it.  A
 program is a function taking a :class:`~repro.mpi.context.RankContext`
 and returning a generator — the per-rank process body::
 
-    def program(ctx):
-        yield from ctx.barrier()
-        start = ctx.wtime()
-        yield from ctx.bcast(1024)
-        return ctx.wtime() - start
+    def program(rank):
+        yield from rank.barrier()
+        start = rank.wtime()
+        yield from rank.bcast(1024)
+        return rank.wtime() - start
 
     world = MpiWorld("t3d", num_nodes=8)
     per_rank_times = world.run(program)
@@ -105,9 +105,9 @@ class MpiWorld:
             raise ValueError(f"iterations must be >= 1, got {iterations}")
         start = self.env.now
 
-        def body(ctx: RankContext):
+        def body(rank: RankContext):
             for _ in range(iterations):
-                yield from ctx.collective(op, nbytes, root)
+                yield from rank.collective(op, nbytes, root)
             return self.env.now
 
         finished = self.run(body)

@@ -44,18 +44,6 @@ class RandomStreams:
             self._streams[name] = generator
             return generator
 
-    def jitter(self, name: str, relative_sigma: float) -> float:
-        """One multiplicative jitter factor centred on 1.0, clipped > 0.
-
-        ``relative_sigma`` is the standard deviation as a fraction of the
-        mean.  Used to perturb software overheads so that repeated timing
-        runs differ, as on real machines.
-        """
-        if relative_sigma <= 0.0:
-            return 1.0
-        draw = self.stream(name).normal(1.0, relative_sigma)
-        return max(draw, 1e-3)
-
     def uniform(self, name: str, low: float, high: float) -> float:
         """One uniform draw from ``[low, high)`` on stream ``name``."""
         return float(self.stream(name).uniform(low, high))

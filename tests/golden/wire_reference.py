@@ -35,14 +35,13 @@ from __future__ import annotations
 
 import argparse
 import hashlib
-import itertools
 import json
 import sys
 from pathlib import Path
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from repro.faults import fault_preset
-from repro.mpi import DeliveryError, MpiWorld, communicator
+from repro.mpi import DeliveryError, MpiWorld
 from repro.obs.perf import WorkMeter
 
 REFERENCE_PATH = Path(__file__).parent / "wire_reference.json"
@@ -200,17 +199,8 @@ def observe(case: Case) -> Tuple[Dict[str, Any], Dict[str, Any]]:
     covers."""
     machine, op, nbytes, p, seed, faults, observer = case
     plan = None if faults == "none" else fault_preset(faults)
-    # Communicator ids come from one process-wide counter and show in
-    # the message tags that trace records carry: every case's world
-    # gets id 0, so its digest does not depend on what ran before.
-    # (Ids need only be unique within one machine.)
-    ids = communicator._COMM_IDS
-    communicator._COMM_IDS = itertools.count()
-    try:
-        world = MpiWorld(machine, p, seed=seed, faults=plan,
-                         **OBSERVERS[observer])
-    finally:
-        communicator._COMM_IDS = ids
+    world = MpiWorld(machine, p, seed=seed, faults=plan,
+                     **OBSERVERS[observer])
     meter = WorkMeter()
     world.env.work = meter
     try:

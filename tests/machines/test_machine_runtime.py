@@ -1,6 +1,7 @@
 """Tests for the Machine runtime wrapper (jitter, topology sizing)."""
 
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -30,6 +31,53 @@ def test_jitter_always_positive():
     env = Environment()
     machine = Machine(env, PARAGON, 4)
     assert all(machine.jitter(i % 4) > 0 for i in range(200))
+
+
+def _with_sigma(spec, sigma):
+    return replace(spec, software=replace(spec.software,
+                                          jitter_sigma=sigma))
+
+
+def test_jitter_centred_and_positive():
+    machine = Machine(Environment(), _with_sigma(SP2, 0.05), 4,
+                      streams=RandomStreams(11))
+    draws = [machine.jitter(2) for _ in range(500)]
+    assert all(d > 0 for d in draws)
+    assert 0.95 < sum(draws) / len(draws) < 1.05
+
+
+def test_jitter_clipped_above_zero():
+    machine = Machine(Environment(), _with_sigma(SP2, 2.0), 4,
+                      streams=RandomStreams(11))
+    draws = [machine.jitter(0) for _ in range(500)]
+    assert min(draws) == 1e-3  # a wide spread reaches the clip
+    assert all(d >= 1e-3 for d in draws)
+
+
+def test_jitter_zero_sigma_is_exact_one():
+    machine = Machine(Environment(), _with_sigma(SP2, 0.0), 4,
+                      streams=RandomStreams(1))
+    assert [machine.jitter(i % 4) for i in range(8)] == [1.0] * 8
+
+
+def test_buffered_jitter_equals_scalar_draws():
+    """Block draws give exactly the values one scalar draw per call
+    would, on every node, however the nodes' calls interleave."""
+    machine = Machine(Environment(), SP2, 4, streams=RandomStreams(9))
+    buffered = {0: [], 3: []}
+    for index in range(10_000):
+        node = 3 if index % 3 == 0 else 0
+        buffered[node].append(machine.jitter(node))
+    sigma = SP2.software.jitter_sigma
+    scalar = RandomStreams(9)
+    for node, draws in buffered.items():
+        stream = scalar.stream(f"sw.{node}")
+        expected = [max(stream.normal(1.0, sigma), 1e-3)
+                    for _ in range(len(draws))]
+        assert draws == expected
+    # The streams stay aligned afterwards: the next buffered draw is
+    # the next scalar one.
+    assert machine.jitter(3) == scalar.stream("sw.3").normal(1.0, sigma)
 
 
 def test_topology_sized_to_machine():

@@ -168,18 +168,57 @@ def test_scatter_leaves_finish_in_send_order_tail():
     assert finish[7] >= finish[1] - 1e-9
 
 
-def test_offloaded_scan_requires_offload_params():
+def _with_algorithm(machine, op, algorithm):
+    from dataclasses import replace
+    from repro.machines import get_machine_spec
+    spec = get_machine_spec(machine)
+    return replace(spec, name=f"{spec.name}-{algorithm}",
+                   algorithms={**dict(spec.algorithms), op: algorithm})
+
+
+@pytest.mark.parametrize("machine, op, algorithm, message", [
+    ("sp2", "scan", "offloaded_scan", "no offloaded combining path"),
+    ("sp2", "barrier", "hardware_barrier", "no hardware barrier network"),
+    ("paragon", "barrier", "hardware_barrier",
+     "no hardware barrier network"),
+])
+def test_missing_hardware_fails_at_the_collective_call(machine, op,
+                                                       algorithm, message):
     from repro.mpi import MpiError
-    w = MpiWorld("sp2", 4, seed=3)
+    w = MpiWorld(_with_algorithm(machine, op, algorithm), 4, seed=3)
+    # The schedule compiles before the call's entry cost: the call
+    # itself raises, before any simulated time passes.
+    call = w.comm.contexts[0].collective(op, 8)
+    with pytest.raises(MpiError, match=message):
+        next(call)
+    assert w.now == 0.0
 
     def program(ctx):
-        algorithm = get_algorithm("offloaded_scan")
-        seq = yield from ctx._enter_collective("scan", 8)
-        yield from algorithm(ctx, seq, 8)
-        return None
+        yield from ctx.collective(op, 8)
 
-    with pytest.raises(MpiError):
-        w.run(program)
+    with pytest.raises(MpiError, match=message):
+        MpiWorld(_with_algorithm(machine, op, algorithm), 4,
+                 seed=3).run(program)
+
+
+def test_sub_communicator_barrier_compiles_to_the_tree():
+    """The T3D's barrier wire is machine-wide: a sub-communicator's
+    barrier compiles to exactly the software tree's steps (the runtime
+    fallback is covered in test_comm_split)."""
+    from repro.machines import T3D
+    from repro.mpi.schedule import (
+        HW_BARRIER,
+        ScheduleScope,
+        compile_schedule,
+    )
+    hardware = get_algorithm("hardware_barrier")
+    tree = get_algorithm("tree_barrier")
+    sub = ScheduleScope(T3D, 4, is_world=False, world_ranks=[1, 3, 5, 7])
+    world = ScheduleScope(T3D, 8, is_world=True)
+    for rank in range(4):
+        assert compile_schedule(hardware, sub, rank, 0) == \
+            compile_schedule(tree, sub, rank, 0)
+    assert compile_schedule(hardware, world, 0, 0) == ((HW_BARRIER,),)
 
 
 def test_collective_sequence_fence_orders_operations():

@@ -99,10 +99,10 @@ def test_binomial_gather_aggregates_subtree_bytes():
 
 # -- non-divisible sizes and awkward communicators (regression) ---------
 
-def _drive_stub(name, p, nbytes, root=0):
-    from tests.mpi.test_zoo_algorithms import drive
+def _check(name, p, nbytes, root=0):
+    from tests.mpi.schedule_check import check
     from repro.mpi.collectives import get_algorithm
-    return drive(get_algorithm(name), p, nbytes, root)
+    return check(get_algorithm(name), p, nbytes, root)
 
 
 @pytest.mark.parametrize("p", [3, 5, 7, 12])
@@ -114,18 +114,17 @@ def test_vandegeijn_moves_exactly_nbytes_when_indivisible(p, root,
     p did not divide nbytes; blocks must sum to exactly nbytes."""
     assert nbytes % p != 0
     root = p - 1 if root == -1 else root
-    contexts = _drive_stub("scatter_allgather_broadcast", p, nbytes,
-                           root)
-    for ctx in contexts:
+    tallies = _check("scatter_allgather_broadcast", p, nbytes, root)
+    for tally in tallies:
         # Scatter leg: each non-root receives its own block from the
         # root; ring leg: everyone receives the other p - 1 blocks.
         # Together each rank takes delivery of exactly nbytes — the
         # root already holds its own block, so one block less.
-        if ctx.rank == root:
-            assert ctx.received_bytes == nbytes - \
-                _own_block(nbytes, p, ctx.rank, root)
+        if tally.rank == root:
+            assert tally.received_bytes == nbytes - \
+                _own_block(nbytes, p, tally.rank, root)
         else:
-            assert ctx.received_bytes == nbytes
+            assert tally.received_bytes == nbytes
 
 
 def _own_block(nbytes, p, rank, root):
@@ -140,8 +139,8 @@ def test_vandegeijn_total_bytes_match_divisible_case(nbytes):
     divisible one (plus the 4-byte remainder), not p extra bytes per
     ring step."""
     p = 8
-    contexts = _drive_stub("scatter_allgather_broadcast", p, nbytes)
-    total = sum(ctx.sent_bytes for ctx in contexts)
+    tallies = _check("scatter_allgather_broadcast", p, nbytes)
+    total = sum(tally.sent_bytes for tally in tallies)
     # Scatter moves (p-1)/p of the message, the ring moves (p-1)
     # copies of it: total = (p-1)/p * nbytes + (p-1) * nbytes.
     from repro.mpi.collectives.extensions import block_counts
@@ -158,20 +157,20 @@ def test_extension_algorithms_awkward_sizes_and_roots(p, root):
     root = p - 1 if root == -1 else root
     nbytes = 1000
 
-    contexts = _drive_stub("ring_allgather", p, nbytes, root)
-    assert all(ctx.received_bytes == (p - 1) * nbytes
-               for ctx in contexts)
+    tallies = _check("ring_allgather", p, nbytes, root)
+    assert all(tally.received_bytes == (p - 1) * nbytes
+               for tally in tallies)
 
-    contexts = _drive_stub("ring_reduce_scatter", p, nbytes, root)
-    assert all(ctx.combined_bytes == (p - 1) * nbytes
-               for ctx in contexts)
+    tallies = _check("ring_reduce_scatter", p, nbytes, root)
+    assert all(tally.combined_bytes == (p - 1) * nbytes
+               for tally in tallies)
 
-    contexts = _drive_stub("binomial_tree_gather", p, nbytes, root)
-    assert sum(ctx.messages_sent for ctx in contexts) == p - 1
+    tallies = _check("binomial_tree_gather", p, nbytes, root)
+    assert sum(tally.messages_sent for tally in tallies) == p - 1
     # Subtree aggregation: the root takes delivery of every other
     # rank's block exactly once, however the tree folds.
-    assert contexts[root].received_bytes == (p - 1) * nbytes
-    assert contexts[root].sent_bytes == 0
+    assert tallies[root].received_bytes == (p - 1) * nbytes
+    assert tallies[root].sent_bytes == 0
 
 
 @pytest.mark.parametrize("p", [3, 5, 7, 12])

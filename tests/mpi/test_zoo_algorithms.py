@@ -1,22 +1,24 @@
-"""Correctness sweep over the algorithm zoo (and a message harness).
+"""Correctness sweep over the algorithm zoo and the schedule check.
 
-The stub harness below drives an algorithm's per-rank generators with
-a round-robin run-to-block scheduler over an in-memory message board,
-so tests can assert *exact* byte movement — every send matched, every
-byte accounted — at awkward communicator sizes (non-power-of-two p,
-nonzero roots) without a full simulation.  The real-simulator tests
-then lock in end-to-end completion on every machine.
+The static schedule check (:mod:`tests.mpi.schedule_check`) compiles
+every rank's schedule and verifies the step lists — every send matched
+by exactly one posted receive, no deadlock, every byte accounted — so
+tests can assert *exact* byte movement at awkward communicator sizes
+(non-power-of-two p, nonzero roots) without a full simulation.  The
+real-simulator tests then lock in end-to-end completion on every
+machine.
 """
 
 import pytest
 
 from repro.machines import PARAGON, SP2, T3D, get_machine_spec
 from repro.mpi import MpiWorld
-from repro.mpi.collectives import get_algorithm
+from repro.mpi.collectives import algorithm_names, get_algorithm
 from repro.mpi.collectives.zoo import (
     make_segmented_broadcast,
     make_segmented_reduce,
 )
+from tests.mpi.schedule_check import check, check_algorithm
 
 AWKWARD_SIZES = [3, 5, 7, 12]
 ROOTS = [0, 1, -1]  # -1 means p - 1
@@ -31,86 +33,13 @@ ZOO = {
 }
 
 
-# -- the stub harness ---------------------------------------------------
+# -- the static schedule check over every registered algorithm ----------
 
-_BLOCKED = object()
-
-
-class StubContext:
-    """Just enough of RankContext to drive an algorithm generator."""
-
-    def __init__(self, board, rank, size):
-        self.board = board
-        self.rank = rank
-        self.size = size
-        self.sent_bytes = 0
-        self.received_bytes = 0
-        self.combined_bytes = 0
-        self.messages_sent = 0
-        self.messages_received = 0
-
-    def coll_send(self, seq, phase, dst, nbytes, op=None, **kwargs):
-        assert 0 <= dst < self.size and dst != self.rank
-        assert nbytes >= 0
-        key = (self.rank, dst, phase)
-        assert key not in self.board, f"phase collision on {key}"
-        self.board[key] = nbytes
-        self.sent_bytes += nbytes
-        self.messages_sent += 1
-        yield
-
-    def coll_post(self, seq, phase, src):
-        return (src, phase)
-
-    def coll_wait(self, posted, op=None, **kwargs):
-        return (yield from self._recv(*posted))
-
-    def coll_recv(self, seq, phase, src, op=None, **kwargs):
-        return (yield from self._recv(src, phase))
-
-    def combine(self, nbytes):
-        assert nbytes >= 0
-        self.combined_bytes += nbytes
-        yield
-
-    def delay(self, base_us):
-        yield
-
-    def _recv(self, src, phase):
-        key = (src, self.rank, phase)
-        while key not in self.board:
-            yield _BLOCKED
-        nbytes = self.board.pop(key)
-        self.received_bytes += nbytes
-        self.messages_received += 1
-        return nbytes
-
-
-def drive(algorithm, size, nbytes, root=0):
-    """Run every rank to completion; fail on deadlock or lost sends."""
-    board = {}
-    contexts = [StubContext(board, rank, size) for rank in range(size)]
-    programs = {rank: algorithm(contexts[rank], 0, nbytes, root)
-                for rank in range(size)}
-    while programs:
-        progressed = False
-        for rank in sorted(programs):
-            while True:
-                try:
-                    step = next(programs[rank])
-                except StopIteration:
-                    del programs[rank]
-                    progressed = True
-                    break
-                if step is _BLOCKED:
-                    break
-                progressed = True
-        if not progressed:
-            waiting = sorted(programs)
-            raise AssertionError(
-                f"deadlock: ranks {waiting} blocked, board {board}")
-    assert not board, f"unmatched sends left on the board: {board}"
-    return contexts
+@pytest.mark.parametrize("name", algorithm_names())
+def test_every_algorithm_passes_the_schedule_check(name):
+    # p in {2, 3, 5, 7, 8, 12, 16}, root in {0, 1, p - 1}, on every
+    # machine that can compile the algorithm.
+    assert check_algorithm(name) > 0
 
 
 def _root(p, root):
@@ -122,19 +51,19 @@ def _root(p, root):
 @pytest.mark.parametrize("p", AWKWARD_SIZES + [2, 4, 8, 16])
 @pytest.mark.parametrize("nbytes", [0, 1, 10, 4096])
 def test_recursive_doubling_allgather_byte_exact(p, nbytes):
-    contexts = drive(get_algorithm("recursive_doubling_allgather"),
-                     p, nbytes)
+    tallies = check(get_algorithm("recursive_doubling_allgather"),
+                    p, nbytes)
     core = 1 << (p.bit_length() - 1)
-    for ctx in contexts:
-        if ctx.rank < core:
+    for tally in tallies:
+        if tally.rank < core:
             # A core rank obtains every other rank's block exactly
             # once (a folded twin's via the fold exchange).
-            assert ctx.received_bytes == (p - 1) * nbytes
+            assert tally.received_bytes == (p - 1) * nbytes
         else:
             # A folded rank contributes its block and gets the full
             # gathered result back.
-            assert ctx.sent_bytes == nbytes
-            assert ctx.received_bytes == p * nbytes
+            assert tally.sent_bytes == nbytes
+            assert tally.received_bytes == p * nbytes
 
 
 @pytest.mark.parametrize("p", AWKWARD_SIZES + [2, 4, 8, 16])
@@ -142,20 +71,20 @@ def test_recursive_doubling_allgather_byte_exact(p, nbytes):
     "name", ["recursive_doubling_allreduce", "rabenseifner_allreduce"])
 def test_allreduce_zoo_conserves_and_combines(p, name):
     nbytes = 4096
-    contexts = drive(get_algorithm(name), p, nbytes)
-    total_sent = sum(ctx.sent_bytes for ctx in contexts)
-    total_received = sum(ctx.received_bytes for ctx in contexts)
+    tallies = check(get_algorithm(name), p, nbytes)
+    total_sent = sum(tally.sent_bytes for tally in tallies)
+    total_received = sum(tally.received_bytes for tally in tallies)
     assert total_sent == total_received
     core = 1 << (p.bit_length() - 1)
     extra = p - core
-    for ctx in contexts:
-        if ctx.rank >= core:
+    for tally in tallies:
+        if tally.rank >= core:
             # Folded ranks hand their vector over and receive the
             # reduced result — exactly nbytes each way.
-            assert ctx.sent_bytes == nbytes
-            assert ctx.received_bytes == nbytes
-            assert ctx.combined_bytes == 0
-    combined = sum(ctx.combined_bytes for ctx in contexts)
+            assert tally.sent_bytes == nbytes
+            assert tally.received_bytes == nbytes
+            assert tally.combined_bytes == 0
+    combined = sum(tally.combined_bytes for tally in tallies)
     if name == "rabenseifner_allreduce":
         # Reduce-scatter + allgather is combine-minimal: p vectors
         # reduce into one, p - 1 vector combines in total (the
@@ -172,15 +101,15 @@ def test_allreduce_zoo_conserves_and_combines(p, name):
 @pytest.mark.parametrize("p", AWKWARD_SIZES + [2, 4, 8, 16])
 def test_recursive_halving_reduce_scatter_byte_exact(p):
     nbytes = 64  # per result block; each rank contributes p * nbytes
-    contexts = drive(get_algorithm("recursive_halving_reduce_scatter"),
-                     p, nbytes)
+    tallies = check(get_algorithm("recursive_halving_reduce_scatter"),
+                    p, nbytes)
     core = 1 << (p.bit_length() - 1)
-    assert sum(ctx.combined_bytes for ctx in contexts) == \
+    assert sum(tally.combined_bytes for tally in tallies) == \
         (p - 1) * p * nbytes
-    for ctx in contexts:
-        if ctx.rank >= core:
-            assert ctx.sent_bytes == p * nbytes
-            assert ctx.received_bytes == nbytes
+    for tally in tallies:
+        if tally.rank >= core:
+            assert tally.sent_bytes == p * nbytes
+            assert tally.received_bytes == nbytes
 
 
 @pytest.mark.parametrize("p", AWKWARD_SIZES)
@@ -188,13 +117,13 @@ def test_recursive_halving_reduce_scatter_byte_exact(p):
 @pytest.mark.parametrize("nbytes", [0, 10, 4096, 10000])
 def test_segmented_broadcast_byte_exact(p, root, nbytes):
     root = _root(p, root)
-    contexts = drive(get_algorithm("segmented_binomial_broadcast"),
-                     p, nbytes, root)
-    for ctx in contexts:
+    tallies = check(get_algorithm("segmented_binomial_broadcast"),
+                    p, nbytes, root)
+    for tally in tallies:
         # Every non-root receives the message exactly once, segmented
         # or not — the pipelined tree must not duplicate or drop bytes.
-        expected = 0 if ctx.rank == root else nbytes
-        assert ctx.received_bytes == expected
+        expected = 0 if tally.rank == root else nbytes
+        assert tally.received_bytes == expected
 
 
 @pytest.mark.parametrize("p", AWKWARD_SIZES)
@@ -202,12 +131,12 @@ def test_segmented_broadcast_byte_exact(p, root, nbytes):
 def test_segmented_reduce_byte_exact(p, root):
     nbytes = 10000  # three segments at the default segment size
     root = _root(p, root)
-    contexts = drive(get_algorithm("segmented_binomial_reduce"),
-                     p, nbytes, root)
-    for ctx in contexts:
-        expected = 0 if ctx.rank == root else nbytes
-        assert ctx.sent_bytes == expected
-    assert sum(ctx.combined_bytes for ctx in contexts) == \
+    tallies = check(get_algorithm("segmented_binomial_reduce"),
+                    p, nbytes, root)
+    for tally in tallies:
+        expected = 0 if tally.rank == root else nbytes
+        assert tally.sent_bytes == expected
+    assert sum(tally.combined_bytes for tally in tallies) == \
         (p - 1) * nbytes
 
 
@@ -215,19 +144,19 @@ def test_segmented_reduce_byte_exact(p, root):
 def test_segment_size_is_tunable(segment):
     p, nbytes = 5, 10000
     broadcast = make_segmented_broadcast(segment)
-    contexts = drive(broadcast, p, nbytes)
-    assert all(ctx.received_bytes == nbytes
-               for ctx in contexts if ctx.rank != 0)
+    tallies = check(broadcast, p, nbytes)
+    assert all(tally.received_bytes == nbytes
+               for tally in tallies if tally.rank != 0)
     import math
     expected_segments = max(1, math.ceil(nbytes / segment))
-    leaf = max(ctx.rank for ctx in contexts)
-    assert contexts[leaf].messages_received == expected_segments
+    leaf = max(tally.rank for tally in tallies)
+    assert tallies[leaf].messages_received == expected_segments
 
     reduce_ = make_segmented_reduce(segment)
-    contexts = drive(reduce_, p, nbytes)
+    tallies = check(reduce_, p, nbytes)
     # The root combines one operand per direct child; the interior
     # ranks handle the rest — (p - 1) contributions overall.
-    assert sum(ctx.combined_bytes for ctx in contexts) == \
+    assert sum(tally.combined_bytes for tally in tallies) == \
         (p - 1) * nbytes
 
 
